@@ -125,6 +125,32 @@ def _average_rank_percentile(values: np.ndarray) -> np.ndarray:
     return 100.0 * ranks / (n - 1)
 
 
+_PAIRWISE_BLOCK_BYTES = 16 << 20
+
+
+def _min_pairwise_distance(P: np.ndarray) -> float:
+    """Smallest distance between two distinct rows of P.
+
+    Row blocks of at most ``_PAIRWISE_BLOCK_BYTES`` of differences against
+    the later rows, so memory stays O(m * d) however many rows there are.
+    Each pair's squared distance is the same difference arithmetic as one
+    full m x m x d pass, and sqrt is monotone, so the value is bit-identical.
+    """
+    m, d = P.shape
+    block = max(1, _PAIRWISE_BLOCK_BYTES // (m * d * 8))
+    best = math.inf
+    for i0 in range(0, m - 1, block):
+        i1 = min(i0 + block, m - 1)
+        diff = P[i0:i1, None, :] - P[None, i0 + 1 :, :]
+        np.multiply(diff, diff, out=diff)
+        sq = diff.sum(axis=2)
+        # column c holds row i0 + 1 + c: only pairs with c >= r lie above
+        # the diagonal
+        sq[np.tril_indices(i1 - i0, k=-1, m=sq.shape[1])] = np.inf
+        best = min(best, float(sq.min()))
+    return math.sqrt(best)
+
+
 def report(
     selection: SelectionFile,
     labels: LabelVector,
@@ -141,12 +167,7 @@ def report(
     idx = np.sort(selection.indices)  # canonical order: order-invariant output
     counts = np.bincount(labels.labels[idx], minlength=labels.num_classes)
     percentiles = _average_rank_percentile(utilities.utility)
-    if idx.size >= 2:
-        diff = matrix.data[idx][:, None, :] - matrix.data[idx][None, :, :]
-        d = np.sqrt((diff * diff).sum(axis=2))
-        mpd = float(d[np.triu_indices(idx.size, k=1)].min())
-    else:
-        mpd = math.inf
+    mpd = _min_pairwise_distance(matrix.data[idx]) if idx.size >= 2 else math.inf
     return SelectionReport(
         coverage=int((counts > 0).sum()),
         per_class_counts=counts,

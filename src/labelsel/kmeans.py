@@ -113,42 +113,62 @@ def objective_value(m, centroids: np.ndarray, assignment: np.ndarray) -> float:
     return float((diff * diff).sum())
 
 
-def _min_sq_dist_update(X, d2, point):
-    diff = X - point[None, :]
-    np.minimum(d2, (diff * diff).sum(axis=1), out=d2)
+def _sq_dists_from(X, Xc, xx, rows):
+    """len(rows) x n squared distances from X[rows] to every row of X.
+
+    One Gram-expansion GEMM on the centred copy ``Xc`` (``xx`` holds its
+    squared row norms), clamped at 0. Each entry carries an absolute
+    rounding error of at most about (d + 2) * eps * (|c|^2 + |x|^2): the
+    dot product and both norms are d-term sums, and two more roundings
+    come from the additions. Entries at or below twice that bound may be
+    pure cancellation noise, so they are recomputed from coordinate
+    differences of X; every pair that coincides in X comes out exactly 0.
+    """
+    d2 = Xc[rows] @ Xc.T
+    d2 *= -2.0
+    scale = xx[rows][:, None] + xx[None, :]
+    d2 += scale
+    np.maximum(d2, 0.0, out=d2)
+    scale *= 2.0 * (X.shape[1] + 2) * np.finfo(np.float64).eps
+    r, c = np.divmod(np.flatnonzero(d2 <= scale), d2.shape[1])
+    diff = X[rows[r]] - X[c]
+    d2[r, c] = (diff * diff).sum(axis=1)
+    return d2
 
 
 def kmeanspp_init(X: np.ndarray, clusters: int, rng: np.random.Generator) -> np.ndarray:
     """Greedy k-means++ seeding.
 
     Each step draws 2 + floor(log2 C) candidates D^2-proportionally and
-    keeps the one that lowers the potential most; degenerate (all-zero)
-    mass falls back to the lowest unchosen index.
+    keeps the one that lowers the potential most (the first such trial on
+    ties). All of a step's trials are scored by one trials x n Gram GEMM on
+    the centred data, with entries below the float64 cancellation floor
+    recomputed exactly from differences, so chosen points and their
+    duplicates have D^2 exactly 0 and are never drawn again. Degenerate
+    (all-zero) mass falls back to the lowest unchosen index.
     """
+    X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     trials = 2 + int(np.log2(max(clusters, 2)))
+    Xc = X - X.mean(axis=0)  # distances are translation invariant
+    xx = np.einsum("ij,ij->i", Xc, Xc)
     chosen = np.empty(clusters, dtype=np.int64)
     chosen[0] = rng.integers(n)
-    d2 = np.full(n, np.inf)
-    _min_sq_dist_update(X, d2, X[chosen[0]])
+    d2 = _sq_dists_from(X, Xc, xx, chosen[:1])[0]
     taken = np.zeros(n, dtype=bool)
     taken[chosen[0]] = True
     for j in range(1, clusters):
         total = d2.sum()
         if total > 0:
             cands = rng.choice(n, size=trials, p=d2 / total)
-            best_pick, best_d2, best_pot = -1, None, np.inf
-            for pick in cands:
-                diff = X - X[pick][None, :]
-                cand_d2 = np.minimum(d2, (diff * diff).sum(axis=1))
-                pot = cand_d2.sum()
-                if pot < best_pot:
-                    best_pick, best_d2, best_pot = int(pick), cand_d2, pot
-            chosen[j] = best_pick
-            d2 = best_d2
+            cand_d2 = _sq_dists_from(X, Xc, xx, cands)
+            np.minimum(cand_d2, d2[None, :], out=cand_d2)
+            best = int(np.argmin(cand_d2.sum(axis=1)))
+            chosen[j] = cands[best]
+            d2 = cand_d2[best].copy()
         else:
             chosen[j] = int(np.flatnonzero(~taken)[0])
-            _min_sq_dist_update(X, d2, X[chosen[j]])
+            np.minimum(d2, _sq_dists_from(X, Xc, xx, chosen[j : j + 1])[0], out=d2)
         taken[chosen[j]] = True
     return X[chosen].copy()
 

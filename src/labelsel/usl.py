@@ -105,18 +105,29 @@ class SelectionResult:
         return self.indices.size
 
 
-def repick_per_cluster(scores: np.ndarray, clustering: Clustering) -> np.ndarray:
-    """Per-cluster argmax of ``scores``; ties go to the lower index."""
+def _per_cluster_argmax(scores: np.ndarray, assignment: np.ndarray, num_clusters: int):
+    """One sort for every cluster's argmax of ``scores``, ties to the lower
+    index. Returns (picks, ids of clusters without members); the picks of
+    missing clusters are left unset."""
     scores = np.asarray(scores, dtype=np.float64)
     n = scores.size
     order = np.lexsort((np.arange(n), -scores))
-    clusters_sorted = clustering.assignment[order]
-    present, first = np.unique(clusters_sorted, return_index=True)
-    if present.size != clustering.num_clusters:
-        missing = sorted(set(range(clustering.num_clusters)) - set(present.tolist()))
-        raise EmptyClusterError(missing)
-    picks = np.empty(clustering.num_clusters, dtype=np.int64)
+    present, first = np.unique(assignment[order], return_index=True)
+    picks = np.empty(num_clusters, dtype=np.int64)
     picks[present] = order[first]
+    missing = []
+    if present.size != num_clusters:
+        missing = sorted(set(range(num_clusters)) - set(present.tolist()))
+    return picks, missing
+
+
+def repick_per_cluster(scores: np.ndarray, clustering: Clustering) -> np.ndarray:
+    """Per-cluster argmax of ``scores``; ties go to the lower index."""
+    picks, missing = _per_cluster_argmax(
+        scores, clustering.assignment, clustering.num_clusters
+    )
+    if missing:
+        raise EmptyClusterError(missing)
     return picks
 
 

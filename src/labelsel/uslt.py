@@ -20,7 +20,7 @@ import numpy as np
 from .density import build_knn_graph
 from .errors import DataError, EmptyClusterError, NumericalError
 from .io import EmbeddingMatrix
-from .usl import SelectionResult
+from .usl import SelectionResult, _per_cluster_argmax
 
 METRICS = ("dot", "neg_sq_euclidean")
 
@@ -181,6 +181,29 @@ def _chain_to_centroids(W: np.ndarray, X: np.ndarray, centroids: np.ndarray, met
     return 2.0 * (W.T @ X - W.sum(axis=0)[:, None] * centroids)
 
 
+def _global_from_logits(X, z, soft, lse, centroids, tau, metric) -> GlobalLossResult:
+    """Global term from the batch logits ``z``, their softmax and their
+    logsumexp, each computed once by the caller."""
+    n = X.shape[0]
+    rows = np.arange(n)
+    hard = np.argmax(z, axis=1)
+    mask = soft.max(axis=1) >= tau
+    per_sample = lse - z[rows, hard]
+    loss = float(per_sample[mask].sum() / n)
+    W = soft.copy()
+    W[rows, hard] -= 1.0
+    W *= mask[:, None] / n
+    grad = _chain_to_centroids(W, X, centroids, metric)
+    return GlobalLossResult(
+        loss=loss,
+        grad=grad,
+        per_sample=per_sample,
+        confident_mask=mask,
+        no_confident=not bool(mask.any()),
+        hard_labels=hard,
+    )
+
+
 def global_loss(
     X: np.ndarray, state: UsltState, tau: float = 0.0, metric: str = "dot"
 ) -> GlobalLossResult:
@@ -193,23 +216,9 @@ def global_loss(
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] == 0:
         raise DataError("empty batch")
-    n = X.shape[0]
-    z, soft, hard = _batch_assign(X, state, metric)
-    conf = soft.max(axis=1)
-    mask = conf >= tau
-    per_sample = logsumexp(z, axis=1) - z[np.arange(n), hard]
-    loss = float(per_sample[mask].sum() / n)
-    W = soft.copy()
-    W[np.arange(n), hard] -= 1.0
-    W *= mask[:, None] / n
-    grad = _chain_to_centroids(W, X, state.centroids, metric)
-    return GlobalLossResult(
-        loss=loss,
-        grad=grad,
-        per_sample=per_sample,
-        confident_mask=mask,
-        no_confident=not bool(mask.any()),
-        hard_labels=hard,
+    z = similarities(X, state, metric)
+    return _global_from_logits(
+        X, z, softmax(z, axis=1), logsumexp(z, axis=1), state.centroids, tau, metric
     )
 
 
@@ -275,14 +284,18 @@ def sharpen(z_hat: np.ndarray, temperature: float) -> np.ndarray:
     return softmax(np.asarray(z_hat, dtype=np.float64) / temperature, axis=-1)
 
 
+def _targets_from_logits(z_n: np.ndarray, state: UsltState, params: UsltParams) -> np.ndarray:
+    z_hat = logit_adjust(z_n, state.running_mean, params.adjust_alpha)
+    return sharpen(z_hat, params.temperature)
+
+
 def local_targets(
     Xn: np.ndarray, state: UsltState, params: UsltParams, metric: str = "dot"
 ) -> np.ndarray:
     """Reference distributions built from the neighbor branch: adjusted
     logits pushed through the sharpener. Constant w.r.t. the gradients."""
     z = similarities(np.atleast_2d(np.asarray(Xn, dtype=np.float64)), state, metric)
-    z_hat = logit_adjust(z, state.running_mean, params.adjust_alpha)
-    return sharpen(z_hat, params.temperature)
+    return _targets_from_logits(z, state, params)
 
 
 @dataclass(frozen=True)
@@ -300,6 +313,32 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _local_per_sample(z, lse, targets) -> np.ndarray:
+    log_soft = z - lse[:, None]
+    return _xlogx(targets).sum(axis=1) - (targets * log_soft).sum(axis=1)
+
+
+def _local_from_logits(X, z, soft, lse, targets, centroids, metric) -> LocalLossResult:
+    """Local term from the batch logits ``z``, their softmax and their
+    logsumexp, each computed once by the caller."""
+    n = X.shape[0]
+    per_sample = _local_per_sample(z, lse, targets)
+    loss = float(per_sample.sum() / n)
+    W = (soft - targets) / n
+    grad = _chain_to_centroids(W, X, centroids, metric)
+    return LocalLossResult(loss=loss, grad=grad, per_sample=per_sample, targets=targets)
+
+
+def _check_batches(X, Xn):
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    Xn = np.atleast_2d(np.asarray(Xn, dtype=np.float64))
+    if X.shape[0] == 0:
+        raise DataError("empty batch")
+    if X.shape != Xn.shape:
+        raise DataError("instance and neighbor batches must align")
+    return X, Xn
+
+
 def local_loss(
     X: np.ndarray,
     Xn: np.ndarray,
@@ -310,22 +349,13 @@ def local_loss(
 ) -> LocalLossResult:
     """Mean KL(target(neighbor) || soft(x)). ``targets`` may be passed in
     precomputed; either way no gradient flows through them."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    Xn = np.atleast_2d(np.asarray(Xn, dtype=np.float64))
-    if X.shape[0] == 0:
-        raise DataError("empty batch")
-    if X.shape != Xn.shape:
-        raise DataError("instance and neighbor batches must align")
-    n = X.shape[0]
+    X, Xn = _check_batches(X, Xn)
     if targets is None:
         targets = local_targets(Xn, state, params, metric)
     z = similarities(X, state, metric)
-    log_soft = z - logsumexp(z, axis=1)[:, None]
-    per_sample = _xlogx(targets).sum(axis=1) - (targets * log_soft).sum(axis=1)
-    loss = float(per_sample.sum() / n)
-    W = (softmax(z, axis=1) - targets) / n
-    grad = _chain_to_centroids(W, X, state.centroids, metric)
-    return LocalLossResult(loss=loss, grad=grad, per_sample=per_sample, targets=targets)
+    return _local_from_logits(
+        X, z, softmax(z, axis=1), logsumexp(z, axis=1), targets, state.centroids, metric
+    )
 
 
 def local_loss_value(
@@ -335,8 +365,7 @@ def local_loss_value(
     state = UsltState(centroids=centroids, running_mean=np.full(centroids.shape[0], 1.0 / centroids.shape[0]))
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     z = similarities(X, state, metric)
-    log_soft = z - logsumexp(z, axis=1)[:, None]
-    per_sample = _xlogx(targets).sum(axis=1) - (targets * log_soft).sum(axis=1)
+    per_sample = _local_per_sample(z, logsumexp(z, axis=1), targets)
     return float(per_sample.sum() / X.shape[0])
 
 
@@ -348,6 +377,21 @@ class TotalLossResult:
     local_result: LocalLossResult
 
 
+def _total_from_logits(X, z, targets, state, params, metric) -> TotalLossResult:
+    """Both terms from one set of batch logits: the softmax and logsumexp
+    they share are computed once."""
+    soft = softmax(z, axis=1)
+    lse = logsumexp(z, axis=1)
+    g = _global_from_logits(X, z, soft, lse, state.centroids, params.tau, metric)
+    l = _local_from_logits(X, z, soft, lse, targets, state.centroids, metric)
+    return TotalLossResult(
+        loss=g.loss + params.loss_weight * l.loss,
+        grad=g.grad + params.loss_weight * l.grad,
+        global_result=g,
+        local_result=l,
+    )
+
+
 def total_loss(
     X: np.ndarray,
     Xn: np.ndarray,
@@ -357,14 +401,12 @@ def total_loss(
     local_targets_override: np.ndarray | None = None,
 ) -> TotalLossResult:
     """Global term plus loss_weight times the local term."""
-    g = global_loss(X, state, params.tau, metric)
-    l = local_loss(X, Xn, state, params, metric, targets=local_targets_override)
-    return TotalLossResult(
-        loss=g.loss + params.loss_weight * l.loss,
-        grad=g.grad + params.loss_weight * l.grad,
-        global_result=g,
-        local_result=l,
-    )
+    X, Xn = _check_batches(X, Xn)
+    z = similarities(X, state, metric)
+    targets = local_targets_override
+    if targets is None:
+        targets = local_targets(Xn, state, params, metric)
+    return _total_from_logits(X, z, targets, state, params, metric)
 
 
 @dataclass(frozen=True)
@@ -446,8 +488,18 @@ def fit_centroids(
         idx = rng.choice(n, size=batch, replace=False)
         nbr = graph.neighbors[idx, rng.integers(0, graph.k, size=batch)]
         Xb, Xnb = X[idx], X[nbr]
+        # the neighbor logits under the pre-step state feed both the local
+        # targets and the EMA batch mean
         with np.errstate(all="ignore"):  # divergence is caught right below
-            result = total_loss(Xb, Xnb, state, params, metric)
+            z_n = similarities(Xnb, state, metric)
+            result = _total_from_logits(
+                Xb,
+                similarities(Xb, state, metric),
+                _targets_from_logits(z_n, state, params),
+                state,
+                params,
+                metric,
+            )
         if not np.isfinite(result.loss) or not np.isfinite(result.grad).all():
             raise NumericalError(
                 f"loss diverged at step {step}: loss={result.loss!r}; "
@@ -459,7 +511,6 @@ def fit_centroids(
         if optimizer.normalize_centroids:
             norms = np.linalg.norm(centroids, axis=1, keepdims=True)
             centroids = centroids / np.maximum(norms, 1e-12)
-        z_n = similarities(Xnb, state, metric)
         batch_mean = softmax(z_n, axis=1).mean(axis=0)
         state = ema_update(
             UsltState(centroids=centroids, running_mean=state.running_mean, step=step),
@@ -504,15 +555,7 @@ def select_uslt(
     optimizer = optimizer or OptimizerConfig()
     fit = fit_centroids(matrix, budget, params, optimizer, metric, threads=threads)
     _, soft, hard = _batch_assign(matrix.data, fit.state, metric)
-    conf = soft.max(axis=1)
-    picks = np.empty(budget, dtype=np.int64)
-    shortfall = []
-    for c in range(budget):
-        members = np.flatnonzero(hard == c)
-        if members.size == 0:
-            shortfall.append(c)
-            continue
-        picks[c] = members[int(np.argmax(conf[members]))]
+    picks, shortfall = _per_cluster_argmax(soft.max(axis=1), hard, budget)
     if shortfall:
         raise EmptyClusterError(
             shortfall, f"budget shortfall: cluster(s) {shortfall} have no members"

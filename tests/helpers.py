@@ -23,6 +23,37 @@ def brute_force_graph(X, k):
     return idx[rows, order], dist[rows, order]
 
 
+def reference_kmeanspp(X, clusters, rng):
+    """Greedy k-means++ seeding scored one trial at a time: each candidate
+    gets its own full difference pass and the first strictly lowest
+    potential wins. Returns the chosen row indices."""
+    n = X.shape[0]
+    trials = 2 + int(np.log2(max(clusters, 2)))
+
+    def sq_dists(row):
+        diff = X - X[row][None, :]
+        return (diff * diff).sum(axis=1)
+
+    chosen = [int(rng.integers(n))]
+    d2 = sq_dists(chosen[0])
+    for _ in range(1, clusters):
+        total = d2.sum()
+        if total > 0:
+            cands = rng.choice(n, size=trials, p=d2 / total)
+            best, best_d2, best_pot = -1, None, np.inf
+            for pick in cands:
+                cand_d2 = np.minimum(d2, sq_dists(pick))
+                pot = cand_d2.sum()
+                if pot < best_pot:
+                    best, best_d2, best_pot = int(pick), cand_d2, pot
+            chosen.append(best)
+            d2 = best_d2
+        else:
+            chosen.append(min(set(range(n)) - set(chosen)))
+            d2 = np.minimum(d2, sq_dists(chosen[-1]))
+    return np.array(chosen, dtype=np.int64)
+
+
 def alg1_transcription(X, utility, clustering, lam, alpha, m_reg, rounds):
     """Literal double-loop transcription of the iterative regularization
     pseudo-code, no horizon, no vectorization."""

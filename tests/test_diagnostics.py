@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from labelsel import (
     stratified_selection,
     utility_scores,
 )
+from labelsel import diagnostics
+from labelsel.density import UtilityScores
 from labelsel.diagnostics import comparison_table
 
 from helpers import exact_expected_coverage
@@ -88,6 +91,35 @@ class TestReport:
             for a, b in ((0, 1), (0, 500), (1, 500))
         ]
         assert rep.min_pairwise_distance == pytest.approx(min(d), rel=1e-12)
+
+    @pytest.mark.parametrize("block_bytes", [1, 4096, 16 << 20])
+    def test_min_pairwise_distance_bitwise_equals_full_pass(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(diagnostics, "_PAIRWISE_BLOCK_BYTES", block_bytes)
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            m, d = int(rng.integers(2, 60)), int(rng.integers(1, 9))
+            P = 1e3 * (seed % 2) + rng.standard_normal((m, d))
+            if seed % 3 == 0:
+                P[m - 1] = P[0]
+            diff = P[:, None, :] - P[None, :, :]
+            full = np.sqrt((diff * diff).sum(axis=2))[np.triu_indices(m, k=1)].min()
+            assert diagnostics._min_pairwise_distance(P) == full
+
+    def test_report_memory_stays_linear_in_budget(self):
+        # an m x m x d difference array at m=800, d=64 alone is 328 MB
+        m, d = 800, 64
+        rng = np.random.default_rng(0)
+        mat = EmbeddingMatrix(data=rng.standard_normal((m, d)))
+        labels = LabelVector(labels=rng.integers(0, 10, size=m), num_classes=10)
+        util = UtilityScores(mean_knn_distance=np.ones(m), utility=rng.random(m))
+        sel = SelectionFile(indices=np.arange(m))
+        tracemalloc.start()
+        try:
+            report(sel, labels, mat, util)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
     def test_budget_one_has_no_pairwise(self, balanced_setup):
         m, y, u = balanced_setup

@@ -2,19 +2,22 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from labelsel import (
     DataError,
     EmbeddingMatrix,
     EmptyClusterError,
+    SyntheticSpec,
     assign_step,
+    generate_synthetic,
     kmeans_fit,
     update_step,
 )
-from labelsel.kmeans import objective_value
+from labelsel.kmeans import kmeanspp_init, objective_value
 
 
-from helpers import best_partition_objective
+from helpers import best_partition_objective, reference_kmeanspp
 
 
 class TestDegenerateCases:
@@ -126,6 +129,74 @@ class TestInvariants:
             )
             brute = best_partition_objective(X, clusters)
             assert best == pytest.approx(brute, abs=1e-9)
+
+
+def _seeding_sets():
+    """(name, X, clusters) sets for comparing the seeding against the
+    one-trial-at-a-time reference."""
+    rng = np.random.default_rng
+
+    def unit(X):
+        return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+    ring, _ = generate_synthetic(SyntheticSpec(modes=10, per_mode=100, seed=3, normalize=True))
+    return [
+        ("normal", rng(0).standard_normal((400, 8)), 30),
+        ("offset", 1000.0 + rng(1).standard_normal((300, 16)), 25),
+        ("unit-rows", unit(rng(2).standard_normal((600, 64))), 100),
+        ("duplicate-rows", np.repeat(rng(3).standard_normal((60, 4)), 3, axis=0), 40),
+        ("C=n-duplicated", np.repeat(rng(4).standard_normal((4, 3)), 3, axis=0), 12),
+        ("ring", ring.data, 10),
+        ("large-budget", unit(rng(6).standard_normal((2000, 16))), 200),
+        ("offset-large-budget", 1000.0 + rng(7).standard_normal((800, 4)), 150),
+        ("C=n-distinct", rng(8).standard_normal((20, 3)), 20),
+        ("one-cluster", rng(9).standard_normal((50, 5)), 1),
+    ]
+
+
+class TestKmeansppSeeding:
+    @pytest.mark.parametrize(
+        "name,X,clusters", [pytest.param(*s, id=s[0]) for s in _seeding_sets()]
+    )
+    def test_same_rows_as_reference(self, name, X, clusters):
+        for seed in range(3):
+            want = X[reference_kmeanspp(X, clusters, np.random.default_rng(seed))]
+            got = kmeanspp_init(X, clusters, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes(), (name, seed)
+
+    def test_zero_mass_fallback_takes_lowest_unchosen(self):
+        # four distinct offset points, each three times: once all four are
+        # chosen every D^2 must be exactly 0 (a rounding residue would make
+        # a duplicate drawable), and the rest come in index order
+        X = np.repeat(np.random.default_rng(4).standard_normal((4, 3)) + 1e3, 3, axis=0)
+        rows = kmeanspp_init(X, 12, np.random.default_rng(0))
+        assert np.unique(rows[:4], axis=0).shape[0] == 4
+        taken = {int(np.flatnonzero((X == r).all(axis=1))[0]) for r in rows[:4]}
+        lowest = [i for i in range(12) if i not in taken][:8]
+        assert rows[4:].tobytes() == X[lowest].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        distinct=st.integers(1, 8),
+        repeats=st.integers(1, 4),
+        d=st.integers(1, 6),
+        offset=st.sampled_from([0.0, 1.0, 1e3, 1e6]),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        data=st.data(),
+    )
+    def test_rows_distinct_while_distinct_points_remain(
+        self, seed, distinct, repeats, d, offset, scale, data
+    ):
+        rng = np.random.default_rng(seed)
+        pool = offset + scale * rng.standard_normal((distinct, d))
+        X = pool[rng.integers(0, distinct, size=distinct * repeats)]
+        X[:distinct] = pool  # every pool row occurs at least once
+        k = np.unique(X, axis=0).shape[0]
+        clusters = data.draw(st.integers(1, X.shape[0]))
+        rows = kmeanspp_init(X, clusters, rng)
+        head = rows[: min(clusters, k)]
+        assert np.unique(head, axis=0).shape[0] == head.shape[0]
 
 
 class TestValidationAndRepair:

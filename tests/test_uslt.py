@@ -29,6 +29,7 @@ from labelsel import (
     total_loss,
 )
 from labelsel import checks
+from labelsel.usl import _per_cluster_argmax
 from labelsel.uslt import local_targets, softmax
 
 
@@ -331,6 +332,21 @@ class TestTotalLoss:
         assert t.loss == g.loss
         np.testing.assert_array_equal(t.grad, g.grad)
 
+    @pytest.mark.parametrize("metric", ["dot", "neg_sq_euclidean"])
+    def test_bitwise_sum_of_its_terms(self, metric):
+        rng = np.random.default_rng(13)
+        c = rng.standard_normal((6, 4))
+        X = rng.standard_normal((9, 4))
+        Xn = rng.standard_normal((9, 4))
+        params = UsltParams(tau=0.3, loss_weight=1.5)
+        state = state_of(c, rng.dirichlet(np.ones(6)))
+        t = total_loss(X, Xn, state, params, metric)
+        g = global_loss(X, state, params.tau, metric)
+        l = local_loss(X, Xn, state, params, metric)
+        assert t.loss == g.loss + params.loss_weight * l.loss
+        assert t.grad.tobytes() == (g.grad + params.loss_weight * l.grad).tobytes()
+        assert t.local_result.targets.tobytes() == local_targets(Xn, state, params, metric).tobytes()
+
     def test_confident_self_neighbor_zero(self):
         c = np.array([[1000.0], [-1000.0]])
         X = np.array([[1.0], [-1.0]])
@@ -428,6 +444,28 @@ class TestFitAndSelect:
         m = EmbeddingMatrix(data=data, normalized=True)
         with pytest.raises(EmptyClusterError, match="shortfall"):
             select_uslt(m, 2, UsltParams(neighbor_k=1), OptimizerConfig(steps=0, seed=0))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        clusters=st.integers(1, 8),
+        levels=st.integers(1, 4),
+    )
+    def test_per_cluster_argmax_matches_member_loop(self, seed, n, clusters, levels):
+        # few distinct score levels force ties, which go to the lower index
+        rng = np.random.default_rng(seed)
+        conf = rng.integers(0, levels, size=n) / levels
+        hard = rng.integers(0, clusters, size=n)
+        picks, shortfall = _per_cluster_argmax(conf, hard, clusters)
+        want_shortfall = []
+        for c in range(clusters):
+            members = np.flatnonzero(hard == c)
+            if members.size == 0:
+                want_shortfall.append(c)
+            else:
+                assert picks[c] == members[int(np.argmax(conf[members]))]
+        assert shortfall == want_shortfall
 
     def test_requires_normalized_features(self):
         rng = np.random.default_rng(16)
