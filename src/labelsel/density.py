@@ -1,17 +1,24 @@
 """Exact k-nearest-neighbor graphs and kNN density / utility scores.
 
 The graph is exact under Euclidean distance with ties broken by lower
-index. Two strategies share one contract:
+index. Every reported distance is computed in float64 from coordinate
+differences, the reference-precision formulation (no cancellation), and
+rows are ranked by (distance, index). Two strategies share one contract:
 
-* small inputs (n <= DIRECT_PATH_MAX_N): full pairwise distances computed
-  directly from coordinate differences, which is the reference-precision
-  formulation (no cancellation), then a stable (distance, index) sort.
-* large inputs: a float32 Gram-matrix pass preselects k + CANDIDATE_PAD
-  candidates per query (torch.topk when torch is importable, else numpy
-  argpartition), whose distances are then recomputed exactly in float64
-  from coordinate differences and re-ranked. Rows with an exact-distance
-  tie crossing the k boundary fall back to a full-row recompute so the
-  lower-index tie rule survives preselection.
+* small inputs (n <= DIRECT_PATH_MAX_N): the full row of distances, then
+  the ranking.
+* large inputs: the rows are centred once and rounded to float32, and one
+  GEMM per query block of QUERY_BLOCK rows gives approximate squared
+  distances with the norms folded into the operands. ``argpartition``
+  keeps k + CANDIDATE_PAD candidates per row and reads the smallest
+  excluded Gram value. The candidates' distances are recomputed exactly
+  and ranked. A rank certificate (``_certificate_slack``) then accepts the
+  row only when its exact k-th squared distance lies strictly below that
+  excluded value minus a proven float32 error bound: every point tied with
+  the k-th neighbor is then a candidate, so the ranking is the exhaustive
+  one. Rows that fail the certificate (near-ties across the candidate
+  boundary) are recomputed in full and counted in
+  ``NeighborGraph.fallback_rows``.
 
 Blocks of queries are independent, so results are bit-identical for any
 worker count.
@@ -29,16 +36,10 @@ import numpy as np
 from .errors import DataError, DuplicatePointsError
 from .io import EmbeddingMatrix
 
-try:  # optional acceleration for the candidate preselection only
-    import torch
-
-    torch.set_num_threads(1)
-except ImportError:  # pragma: no cover - exercised on torch-free installs
-    torch = None
-
 DIRECT_PATH_MAX_N = 2048
-CANDIDATE_PAD = 64
-QUERY_BLOCK = 2048
+CANDIDATE_PAD = 16
+QUERY_BLOCK = 512
+EXACT_TILE_BYTES = 1 << 20
 JITTER_SCALE = 1e-12
 
 
@@ -55,11 +56,16 @@ def resolve_threads(threads: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class NeighborGraph:
-    """Per-instance k nearest neighbors, sorted by ascending distance."""
+    """Per-instance k nearest neighbors, sorted by ascending distance.
+
+    ``fallback_rows`` counts the rows whose preselection could not be
+    certified and were recomputed against every point (trace only).
+    """
 
     k: int
     neighbors: np.ndarray
     distances: np.ndarray
+    fallback_rows: int = 0
 
     def __post_init__(self):
         neighbors = np.asarray(self.neighbors, dtype=np.int64)
@@ -100,11 +106,12 @@ def _exact_block(X: np.ndarray, i0: int, i1: int, cand: np.ndarray) -> np.ndarra
     """Float64 distances from rows i0:i1 to per-row candidate indices.
 
     Computed from coordinate differences (never from expanded dot products)
-    so close pairs keep full relative precision. Tiled to stay cache-resident.
+    so close pairs keep full relative precision. Tiled so each gathered
+    difference block stays within EXACT_TILE_BYTES, about an L2 cache.
     """
     b, c = i1 - i0, cand.shape[1]
     out = np.empty((b, c))
-    tile = max(1, (16 << 20) // (c * X.shape[1] * 8))
+    tile = max(1, EXACT_TILE_BYTES // (c * X.shape[1] * 8))
     for t0 in range(0, b, tile):
         t1 = min(t0 + tile, b)
         diff = X[cand[t0:t1]]
@@ -115,8 +122,10 @@ def _exact_block(X: np.ndarray, i0: int, i1: int, cand: np.ndarray) -> np.ndarra
 
 
 def _rank_candidates(dist, cand, k):
-    """Stable (distance, then index) ranking; returns k best per row."""
-    order = np.lexsort((cand, dist), axis=1)[:, :k]
+    """(distance, then index) ranking of ascending candidate rows: a stable
+    sort by distance keeps equal distances in index order. Returns the k
+    best per row."""
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
     rows = np.arange(dist.shape[0])[:, None]
     return cand[rows, order], dist[rows, order]
 
@@ -129,34 +138,116 @@ def _block_direct(X, i0, i1, k):
     return _rank_candidates(dist, np.ascontiguousarray(cand), k)
 
 
-def _block_preselect(X, X32, sq32, i0, i1, k):
-    n = X.shape[0]
-    kp = min(k + CANDIDATE_PAD, n - 1)
-    Q32 = X32[i0:i1]
-    d2 = Q32 @ X32.T
-    d2 *= -2.0
-    d2 += sq32[i0:i1, None]
-    d2 += sq32[None, :]
-    d2[np.arange(i1 - i0), np.arange(i0, i1)] = np.inf
-    if torch is not None:
-        cand = torch.topk(
-            torch.from_numpy(d2), kp, dim=1, largest=False, sorted=False
-        ).indices.numpy().astype(np.int64)
-    else:
-        cand = np.argpartition(d2, kp - 1, axis=1)[:, :kp].astype(np.int64)
-    dist = _exact_block(X, i0, i1, cand)
-    nbr, nbd = _rank_candidates(dist, cand, k)
+@dataclass(frozen=True)
+class _GramOperands:
+    """Float32 factors of the squared-distance matrix of the centred rows.
 
-    # Exact tie across the k boundary: preselection may have dropped a
-    # lower-index equal-distance point, so redo those rows exhaustively.
-    if kp > k:
-        full = np.sort(dist, axis=1)
-        for r in np.flatnonzero(full[:, k - 1] == full[:, k]):
-            row_cand = np.arange(n, dtype=np.int64)[None, :]
-            row_dist = _exact_block(X, i0 + r, i0 + r + 1, row_cand)
-            row_dist[0, i0 + r] = np.inf
-            nbr[r], nbd[r] = _rank_candidates(row_dist, row_cand, k)
-    return nbr, nbd
+    ``a`` = s * (X - mean) with s a power of two that brings the largest
+    magnitude into [0.5, 1), so the float32 copy neither overflows nor
+    underflows in bulk, and the scaling itself is exact. ``query[i] @
+    base[j]`` = ||a_i||^2 + ||a_j||^2 - 2 a_i.a_j = s^2 ||x_i - x_j||^2.
+    """
+
+    query: np.ndarray  # [a, 1, ||a||^2], float32
+    base: np.ndarray  # [-2a, ||a||^2, 1], float32
+    sq: np.ndarray  # ||a||^2 of the float32 rows, float64 (exact products)
+    sq_max: float
+    scale: float
+
+    @classmethod
+    def of(cls, X):
+        centred = X - X.mean(axis=0)
+        peak = float(np.abs(centred).max())
+        scale = math.ldexp(1.0, -math.frexp(peak)[1]) if peak > 0 else 1.0
+        a = (centred * scale).astype(np.float32)
+        sq = np.einsum("ij,ij->i", a, a, dtype=np.float64)
+        sq32 = sq.astype(np.float32)[:, None]
+        one = np.ones_like(sq32)
+        return cls(
+            query=np.hstack([a, one, sq32]),
+            base=np.hstack([-2.0 * a, sq32, one]),
+            sq=sq,
+            sq_max=float(sq.max()),
+            scale=scale,
+        )
+
+
+def _certificate_slack(g, sq_query, sq_max, d):
+    """Upper bound E on how far the float32 Gram value of an excluded point
+    can exceed its true scaled squared distance, so that every excluded j
+    of a row has s^2 ||x_i - x_j||^2 >= g - E, g the row's smallest
+    excluded Gram value.
+
+    Notation: u = 2^-24 (float32 unit roundoff), m = d + 2 (GEMM depth),
+    gamma = m u / (1 - m u), a_i the exact centred scaled rows, b_i their
+    float32 copies, N_i = ||b_i||^2 and R^2 = max N. N is summed in float64
+    from exact products; its relative error d 2^-53 <= 0.005 u (any d below
+    2.7 million) is absorbed by the 1.01 and 2.01 factors below. Float32
+    underflow adds an absolute error of at most 2^-150 per operation.
+
+    1. Inputs. Centring rounds once in float64 and the float32 copy once
+       more (scaling by s is exact): |b_t - a_t| <= (2^-24 + 2^-52)|a_t| +
+       2^-150 per coordinate, so ||b_i - a_i|| <= e_in = 1.01 u R +
+       sqrt(d) 2^-149, and the distance between two copies differs from
+       the true one by at most 2 e_in.
+    2. Norms. The float32 norm n_i rounds N_i once:
+       |n_i - N_i| <= 1.01 u N_i + 2^-149.
+    3. GEMM. G_ij = fl(q.b) for q = [b_i, 1, n_i], b = [-2 b_j, n_j, 1]:
+       m products summed in any order, with or without FMA, so
+       |G_ij - q.b| <= gamma sum_t |q_t b_t| <= gamma (2 + 1.01 u)(N_i +
+       N_j) + (m + 2) 2^-149 (Cauchy-Schwarz on the d-term dot product; the
+       two further terms add the folded norms). Exactly, q.b =
+       ||b_i - b_j||^2 + (n_i - N_i) + (n_j - N_j). With N_j <= R^2 and
+       c = 2.01 gamma + 1.01 u: ||b_i - b_j||^2 >= G_ij - c (N_i + R^2) -
+       (d + 6) 2^-149.
+    4. Combining 1 and 3 for G_ij >= g, with L the right side of 3 at g:
+       s ||x_i - x_j|| >= sqrt(L) - 2 e_in, so s^2 ||x_i - x_j||^2 >=
+       L - 4 e_in sqrt(g) (trivially when that is negative).
+    5. The exact side. A reported distance r carries d + 2 float64
+       roundings in its square and one in the square root (no float64
+       underflow assumed), so r^2 >= ||x_i - x_j||^2 (1 - (d + 5) 2^-53);
+       the test below is itself evaluated in float64. A relative
+       (d + 8) 2^-52 of g covers both, so an excluded point's reported
+       distance is strictly above the k-th, rounded square roots included,
+       whenever s^2 r_k^2 < g - E.
+    """
+    u = 2.0**-24
+    m = d + 2
+    gamma = m * u / (1.0 - m * u)
+    c = 2.01 * gamma + 1.01 * u
+    e_in = 1.01 * u * math.sqrt(sq_max) + math.sqrt(d) * 2.0**-149
+    root = np.sqrt(np.maximum(g, 0.0))
+    return (
+        c * (sq_query + sq_max)
+        + 4.0 * e_in * root
+        + (d + 8) * 2.0**-52 * np.abs(g)
+        + (d + 6) * 2.0**-149
+    )
+
+
+def _block_preselect(X, ops, i0, i1, k):
+    """Rows i0:i1 by certified preselection; also returns the number of
+    rows recomputed in full."""
+    n, d = X.shape
+    kp = k + CANDIDATE_PAD
+    rows = np.arange(i1 - i0)
+    gram = ops.query[i0:i1] @ ops.base.T
+    gram[rows, np.arange(i0, i1)] = np.inf
+    part = np.argpartition(gram, kp, axis=1)
+    cand = np.sort(part[:, :kp], axis=1)
+    excluded = gram[rows, part[:, kp]].astype(np.float64)
+    del gram, part  # free the block x n arrays before the recompute
+    nbr, nbd = _rank_candidates(_exact_block(X, i0, i1, cand), cand, k)
+
+    slack = _certificate_slack(excluded, ops.sq[i0:i1], ops.sq_max, d)
+    kth = ops.scale * nbd[:, k - 1]
+    failed = np.flatnonzero(~(kth * kth < excluded - slack))
+    everyone = np.arange(n, dtype=np.int64)[None, :]
+    for r in failed:
+        row_dist = _exact_block(X, i0 + r, i0 + r + 1, everyone)
+        row_dist[0, i0 + r] = np.inf
+        nbr[r], nbd[r] = _rank_candidates(row_dist, everyone, k)
+    return nbr, nbd, failed.size
 
 
 def build_knn_graph(
@@ -179,10 +270,12 @@ def build_knn_graph(
         raise DataError(f"k must be in [1, n-1] = [1, {n - 1}], got {k}")
     X = m.data
     for attempt in range(2):
-        neighbors, distances = _compute_graph(X, k, resolve_threads(threads))
+        neighbors, distances, fallback = _compute_graph(X, k, resolve_threads(threads))
         dup = np.flatnonzero(distances[:, 0] == 0.0)
         if dup.size == 0:
-            return NeighborGraph(k=k, neighbors=neighbors, distances=distances)
+            return NeighborGraph(
+                k=k, neighbors=neighbors, distances=distances, fallback_rows=fallback
+            )
         if not jitter or attempt == 1:
             raise DuplicatePointsError(dup.tolist())
         rng = np.random.default_rng(seed)
@@ -191,33 +284,32 @@ def build_knn_graph(
 
 
 def _compute_graph(X, k, workers):
+    """Neighbors, distances and the number of rows recomputed in full."""
     n = X.shape[0]
+    if n <= DIRECT_PATH_MAX_N:
+        return (*_block_direct(X, 0, n, k), 0)
     neighbors = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k))
-    direct = n <= DIRECT_PATH_MAX_N
-    if direct:
-        X32 = sq32 = None
-    else:
-        X32 = X.astype(np.float32)
-        sq32 = np.einsum("ij,ij->i", X32, X32)
+    # with k + pad >= n - 1 every other point is a candidate anyway
+    ops = _GramOperands.of(X) if k + CANDIDATE_PAD < n - 1 else None
 
     def run(i0):
         i1 = min(i0 + QUERY_BLOCK, n)
-        if direct:
-            nbr, nbd = _block_direct(X, i0, i1, k)
+        if ops is None:
+            nbr, nbd, fallback = (*_block_direct(X, i0, i1, k), 0)
         else:
-            nbr, nbd = _block_preselect(X, X32, sq32, i0, i1, k)
+            nbr, nbd, fallback = _block_preselect(X, ops, i0, i1, k)
         neighbors[i0:i1] = nbr
         distances[i0:i1] = nbd
+        return fallback
 
     starts = range(0, n, QUERY_BLOCK)
     if workers > 1 and n > QUERY_BLOCK:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, starts))
+            fallback = sum(pool.map(run, starts))
     else:
-        for i0 in starts:
-            run(i0)
-    return neighbors, distances
+        fallback = sum(map(run, starts))
+    return neighbors, distances, int(fallback)
 
 
 def mean_knn_distance(g: NeighborGraph) -> np.ndarray:

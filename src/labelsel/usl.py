@@ -254,6 +254,7 @@ def select_usl(
         "kmeans_objective": float(clustering.objective),
         "kmeans_iterations": int(clustering.iterations_run),
         "generator": clustering.generator,
+        "knn_fallback_rows": graph.fallback_rows,
         "utility_summary": {
             "selected_mean": float(util.utility[selected].mean()),
             "selected_min": float(util.utility[selected].min()),

@@ -443,6 +443,7 @@ class UsltFitResult:
     state: UsltState
     loss_history: tuple[float, ...]
     occupancy_history: tuple  # (step, per-cluster counts) at epoch boundaries
+    knn_fallback_rows: int = 0  # neighbor-graph rows recomputed in full
 
 
 def _hard_counts(X, state, metric, num_clusters):
@@ -536,7 +537,10 @@ def fit_centroids(
                     centroids=centroids, running_mean=state.running_mean, step=state.step
                 )
     return UsltFitResult(
-        state=state, loss_history=tuple(losses), occupancy_history=tuple(occupancy)
+        state=state,
+        loss_history=tuple(losses),
+        occupancy_history=tuple(occupancy),
+        knn_fallback_rows=graph.fallback_rows,
     )
 
 
@@ -566,6 +570,7 @@ def select_uslt(
             {"step": int(s), "counts": c.tolist()} for s, c in fit.occupancy_history
         ],
         "hard_assignment_rule": "argmax_similarity",
+        "knn_fallback_rows": fit.knn_fallback_rows,
     }
     return SelectionResult(
         indices=picks,

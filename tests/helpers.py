@@ -5,6 +5,7 @@ enumeration, exact combinatorics. None of it shares code with the library
 paths it verifies.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,13 @@ def brute_force_graph(X, k):
     order = np.lexsort((idx, dist), axis=1)[:, :k]
     rows = np.arange(n)[:, None]
     return idx[rows, order], dist[rows, order]
+
+
+def sign_lattice():
+    """The 242 nonzero points of {-1, 0, 1}^5. Once L2-normalized they stay
+    distinct, and their exact distance ties cross the k + pad preselection
+    boundary of some kNN rows at k=10."""
+    return np.array([p for p in itertools.product([-1.0, 0.0, 1.0], repeat=5) if any(p)])
 
 
 def reference_kmeanspp(X, clusters, rng):

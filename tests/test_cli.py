@@ -60,6 +60,16 @@ class TestSelect:
         assert payload["config"]["profile"] == "small"
         assert len(payload["history"]) == 11
 
+    def test_report_records_knn_fallback_rows(self, synth_files, tmp_path):
+        emb, _ = synth_files
+        rep = tmp_path / "r.json"
+        for method in ("usl", "uslt"):
+            assert run(
+                ["select", "--method", method, "--embeddings", emb, "--budget", 10,
+                 "--seed", 1, "--out", tmp_path / "s.txt", "--report", rep]
+            ) == 0
+            assert json.loads(rep.read_text())["trace"]["knn_fallback_rows"] == 0
+
     def test_budget_zero_usage_error(self, synth_files, tmp_path):
         emb, _ = synth_files
         assert run(

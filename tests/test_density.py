@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from labelsel import (
     DataError,
@@ -16,6 +17,8 @@ from labelsel import (
     utility_scores,
 )
 
+
+from labelsel import density
 
 from helpers import brute_force_graph
 
@@ -115,6 +118,83 @@ class TestBuildKnnGraph:
         u1 = utility_scores(graph_from(X, 5)).utility
         u2 = utility_scores(graph_from(s * X, 5)).utility
         np.testing.assert_array_equal(np.argsort(-u1, kind="stable"), np.argsort(-u2, kind="stable"))
+
+
+class TestPreselectPath:
+    """The n > DIRECT_PATH_MAX_N path: float32 preselection, exact recompute
+    of the candidates and the rank certificate. Small inputs reach it by
+    lowering the threshold and the query block."""
+
+    @staticmethod
+    def preselect(X, k):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(density, "DIRECT_PATH_MAX_N", 8)
+            mp.setattr(density, "QUERY_BLOCK", 64)
+            return graph_from(X, k)
+
+    def test_large_offset_matches_brute_force(self):
+        # an uncentred float32 Gram cancels ~1e6 against unit-scale gaps
+        rng = np.random.default_rng(0)
+        X = 1000.0 + rng.standard_normal((2500, 8))
+        assert X.shape[0] > density.DIRECT_PATH_MAX_N
+        g = graph_from(X, 20)
+        nbr, dist = brute_force_graph(X, 20)
+        np.testing.assert_array_equal(g.neighbors, nbr)
+        np.testing.assert_array_equal(g.distances, dist)
+
+    def test_lattice_ties_fall_back_to_full_rows(self):
+        # {0,1,2}^5: the centre has 10 points at distance 1 and 40 at sqrt(2),
+        # so at k=11 the k-th distance is shared by more than k + pad points
+        X = np.stack(
+            np.meshgrid(*[np.arange(3.0)] * 5, indexing="ij"), axis=-1
+        ).reshape(-1, 5)
+        k = 11
+        nbr, dist = brute_force_graph(X, k)
+        centre = int(np.flatnonzero((X == 1.0).all(axis=1))[0])
+        full = np.linalg.norm(X - X[centre], axis=1)
+        assert (full == dist[centre, -1]).sum() > k + density.CANDIDATE_PAD
+        g = self.preselect(X, k)
+        assert g.fallback_rows > 0
+        np.testing.assert_array_equal(g.neighbors, nbr)
+        np.testing.assert_array_equal(g.distances, dist)
+
+    def test_direct_path_reports_no_fallback(self):
+        rng = np.random.default_rng(13)
+        assert graph_from(rng.standard_normal((40, 3)), 5).fallback_rows == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(20, 300),
+        d=st.integers(1, 12),
+        k_frac=st.floats(0.0, 1.0),
+        offset=st.floats(-1e4, 1e4),
+    )
+    def test_translated_matches_brute_force(self, seed, n, d, k_frac, offset):
+        rng = np.random.default_rng(seed)
+        X = offset + rng.standard_normal((n, d))
+        k = 1 + int(k_frac * (n - 2))
+        g = self.preselect(X, k)
+        nbr, dist = brute_force_graph(X, k)
+        np.testing.assert_array_equal(g.neighbors, nbr)
+        np.testing.assert_array_equal(g.distances, dist)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(20, 300),
+        d=st.integers(1, 12),
+        k=st.integers(1, 40),
+        extra=st.integers(1, 60),
+    )
+    def test_prefix_property(self, seed, n, d, k, extra):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d))
+        k = min(k, n - 2)
+        wide = min(k + extra, n - 1)
+        g, g_wide = self.preselect(X, k), self.preselect(X, wide)
+        np.testing.assert_array_equal(g.neighbors, g_wide.neighbors[:, :k])
+        np.testing.assert_array_equal(g.distances, g_wide.distances[:, :k])
 
 
 class TestResolveThreads:

@@ -16,9 +16,9 @@ from labelsel import (
     select_usl,
     utility_scores,
 )
+from labelsel import density
 
-
-from helpers import alg1_transcription
+from helpers import alg1_transcription, sign_lattice
 
 
 def ring_matrix(seed, modes=10, per_mode=100, dim=2):
@@ -172,6 +172,18 @@ class TestRegularizeUtilities:
 
 
 class TestSelectUsl:
+    def test_knn_fallback_rows_traced_without_changing_picks(self, monkeypatch):
+        m = l2_normalize(EmbeddingMatrix(data=sign_lattice()))
+        params = UslParams(k=10, iterations=2, seed=0)
+        direct = select_usl(m, 6, params)
+        assert direct.trace["knn_fallback_rows"] == 0
+        monkeypatch.setattr(density, "DIRECT_PATH_MAX_N", 8)
+        preselect = select_usl(m, 6, params)
+        fallback = build_knn_graph(m, 10).fallback_rows
+        assert fallback > 0
+        assert preselect.trace["knn_fallback_rows"] == fallback
+        np.testing.assert_array_equal(preselect.indices, direct.indices)
+
     def test_budget_equals_n(self):
         m, _ = ring_matrix(4, modes=3, per_mode=4)
         params = UslParams(k=3, iterations=2, seed=0)

@@ -28,9 +28,11 @@ from labelsel import (
     similarities,
     total_loss,
 )
-from labelsel import checks
+from labelsel import build_knn_graph, checks, density
 from labelsel.usl import _per_cluster_argmax
 from labelsel.uslt import local_targets, softmax
+
+from helpers import sign_lattice
 
 
 def state_of(centroids, running_mean=None):
@@ -483,6 +485,20 @@ class TestFitAndSelect:
         assert res.trace["occupancy_history"]
         assert res.trace["hard_assignment_rule"] == "argmax_similarity"
         assert all(sum(h["counts"]) == 60 for h in res.trace["occupancy_history"])
+        assert res.trace["knn_fallback_rows"] == 0
+
+    def test_knn_fallback_rows_traced_without_changing_picks(self, monkeypatch):
+        m = l2_normalize(EmbeddingMatrix(data=sign_lattice()))
+        params = UsltParams(neighbor_k=10)
+        optimizer = OptimizerConfig(steps=30, batch_size=60, seed=3)
+        direct = select_uslt(m, 6, params, optimizer)
+        monkeypatch.setattr(density, "DIRECT_PATH_MAX_N", 8)
+        preselect = select_uslt(m, 6, params, optimizer)
+        fallback = build_knn_graph(m, 10).fallback_rows
+        assert fallback > 0
+        assert preselect.trace["knn_fallback_rows"] == fallback
+        np.testing.assert_array_equal(preselect.indices, direct.indices)
+        assert preselect.trace["loss_history"] == direct.trace["loss_history"]
 
 
 class TestObservationChecks:
