@@ -42,6 +42,24 @@ QUERY_BLOCK = 512
 EXACT_TILE_BYTES = 1 << 20
 JITTER_SCALE = 1e-12
 
+# byte budget of one row block of an n x m distance, difference or logit
+# matrix in k-means, regularization and USL-T (see _row_blocks)
+_ROW_BLOCK_BYTES = 2 << 20
+
+
+def _row_blocks(n: int, row_bytes: int) -> list[slice]:
+    """Slices that cover range(n) in near-equal row blocks of at most
+    _ROW_BLOCK_BYTES at ``row_bytes`` per row (one row at least).
+
+    No stage that walks an n x m matrix through these blocks holds more
+    than one block of it. Equal sizes avoid a ragged last block of one or
+    two rows, which BLAS may route to a GEMV or small-matrix kernel with a
+    different summation order than the other blocks.
+    """
+    per_block = max(1, _ROW_BLOCK_BYTES // row_bytes)
+    blocks = -(-n // per_block)
+    return [slice(i * n // blocks, (i + 1) * n // blocks) for i in range(blocks)]
+
 
 def resolve_threads(threads: int | None = None) -> int:
     """Worker count: explicit argument, else LABELSEL_THREADS, else all cores."""

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .density import _row_blocks
 from .errors import DataError, EmptyClusterError
 from .io import EmbeddingMatrix
 
@@ -66,20 +67,33 @@ def _as_data(m) -> np.ndarray:
 
 
 def _assign_with_dist(X, C, xx=None):
-    """Assignment plus each point's squared distance to its centroid."""
+    """Assignment plus each point's squared distance to its centroid.
+
+    The branch is chosen from the whole n * C * d volume; either way the
+    rows go through in blocks (``_row_blocks``) of at most one block of
+    differences or of n x C distances at a time.
+    """
     n, d = X.shape
-    if n * C.shape[0] * d <= _DIRECT_ASSIGN_LIMIT:
-        d2 = ((X[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
-    else:
+    clusters = C.shape[0]
+    direct = n * clusters * d <= _DIRECT_ASSIGN_LIMIT
+    if not direct:
         if xx is None:
             xx = (X * X).sum(1)
-        d2 = X @ C.T
-        d2 *= -2.0
-        d2 += xx[:, None]
-        d2 += (C * C).sum(1)[None, :]
-    assignment = np.argmin(d2, axis=1).astype(np.int64)
-    best = np.maximum(d2[np.arange(n), assignment], 0.0)
-    return assignment, best
+        cc = (C * C).sum(1)[None, :]
+    assignment = np.empty(n, dtype=np.int64)
+    best = np.empty(n)
+    for rows in _row_blocks(n, 8 * clusters * (d if direct else 1)):
+        if direct:
+            d2 = ((X[rows, None, :] - C[None, :, :]) ** 2).sum(axis=2)
+        else:
+            d2 = X[rows] @ C.T
+            d2 *= -2.0
+            d2 += xx[rows, None]
+            d2 += cc
+        nearest = np.argmin(d2, axis=1)
+        assignment[rows] = nearest
+        best[rows] = d2[np.arange(nearest.size), nearest]
+    return assignment, np.maximum(best, 0.0, out=best)
 
 
 def assign_step(m, centroids: np.ndarray) -> np.ndarray:

@@ -16,12 +16,13 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .density import build_knn_graph, utility_scores, UtilityScores
+from .density import _row_blocks, build_knn_graph, utility_scores, UtilityScores
 from .errors import DataError, EmptyClusterError
 from .io import EmbeddingMatrix
 from .kmeans import Clustering, kmeans_fit
 
-_REG_BLOCK_BYTES = 64 << 20
+# difference path up to this n * m * d volume, Gram expansion above
+_REG_DIRECT_LIMIT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -131,6 +132,18 @@ def repick_per_cluster(scores: np.ndarray, clustering: Clustering) -> np.ndarray
     return picks
 
 
+def _nearest(dist: np.ndarray, h: int) -> np.ndarray:
+    """Mask of the h smallest entries of every row of ``dist``; ties at the
+    h-th value go to the lower column, as a stable sort would keep them."""
+    kth = np.partition(dist, h - 1, axis=1)[:, [h - 1]]
+    keep = dist < kth
+    ties = dist == kth
+    room = h - keep.sum(axis=1)
+    crowded = np.flatnonzero(ties.sum(axis=1) > room)
+    ties[crowded] &= np.cumsum(ties[crowded], axis=1) <= room[crowded, None]
+    return np.logical_or(keep, ties, out=keep)
+
+
 def regularize_utilities(
     matrix: EmbeddingMatrix,
     utilities: UtilityScores,
@@ -167,45 +180,40 @@ def regularize_utilities(
     # Gram expansion for bulk distances at scale; rows whose minimum comes
     # out below the cancellation floor are recomputed from differences so
     # coincidence detection stays exact.
-    use_gemm = n * m * d > 1 << 24
+    use_gemm = n * m * d > _REG_DIRECT_LIMIT
     if use_gemm:
         sel_sq = (sel_X * sel_X).sum(1)
-        block = 1 << 14
-    else:
-        block = max(1, _REG_BLOCK_BYTES // (m * d * 8))
 
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
+    for rows in _row_blocks(n, 8 * m * (1 if use_gemm else d)):
+        xb = X[rows]
         if use_gemm:
-            d2 = X[i0:i1] @ sel_X.T
-            d2 *= -2.0
-            d2 += np.einsum("bd,bd->b", X[i0:i1], X[i0:i1])[:, None]
-            d2 += sel_sq[None, :]
-            np.maximum(d2, 0.0, out=d2)
-            for r in np.flatnonzero(d2.min(axis=1) < 1e-10):
-                diff_r = X[i0 + r][None, :] - sel_X
-                d2[r] = (diff_r * diff_r).sum(axis=1)
-            dist = np.sqrt(d2, out=d2)
+            dist = xb @ sel_X.T
+            dist *= -2.0
+            dist += np.einsum("bd,bd->b", xb, xb)[:, None]
+            dist += sel_sq[None, :]
+            np.maximum(dist, 0.0, out=dist)
+            for r in np.flatnonzero(dist.min(axis=1) < 1e-10):
+                diff_r = xb[r][None, :] - sel_X
+                dist[r] = (diff_r * diff_r).sum(axis=1)
+            np.sqrt(dist, out=dist)
         else:
-            diff = X[i0:i1, None, :] - sel_X[None, :, :]
+            diff = xb[:, None, :] - sel_X[None, :, :]
             dist = np.sqrt(np.einsum("bjd,bjd->bj", diff, diff))
-        eligible = assignment[i0:i1, None] != sel_clusters[None, :]
+            del diff
+        eligible = assignment[rows, None] != sel_clusters[None, :]
         if h is not None and h < m:
-            ranking = np.lexsort(
-                (np.broadcast_to(np.arange(m), dist.shape), dist), axis=1
-            )
-            keep = np.zeros_like(eligible)
-            block_rows = np.arange(i1 - i0)[:, None]
-            keep[block_rows, ranking[:, :h]] = True
-            eligible &= keep
+            eligible &= _nearest(dist, h)
         zero_pairs = eligible & (dist == 0.0)
         if zero_pairs.any():
             hit = np.flatnonzero(zero_pairs.any(axis=1))
-            excluded.extend((i0 + hit).tolist())
+            excluded.extend((rows.start + hit).tolist())
             eligible &= dist > 0.0
         with np.errstate(divide="ignore"):
-            inv = np.where(eligible, 1.0 / dist**params.reg_alpha, 0.0)
-        reg[i0:i1] = inv.sum(axis=1)
+            inv = dist**params.reg_alpha
+            np.divide(1.0, inv, out=inv)
+        inv[~eligible] = 0.0
+        reg[rows] = inv.sum(axis=1)
+        del dist, eligible, inv  # free this block before the next is built
 
     new_state = params.momentum * reg_state + (1.0 - params.momentum) * reg
     u_prime = utilities.utility - params.reg_lambda * new_state

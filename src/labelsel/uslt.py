@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .density import build_knn_graph
+from .density import _row_blocks, build_knn_graph
 from .errors import DataError, EmptyClusterError, NumericalError
 from .io import EmbeddingMatrix
 from .usl import SelectionResult, _per_cluster_argmax
@@ -157,11 +157,13 @@ def assign(x: np.ndarray, state: UsltState, metric: str = "dot") -> AssignmentPa
     return AssignmentPair(soft=soft, hard=hard, confidence=float(soft.max()))
 
 
-def _batch_assign(X: np.ndarray, state: UsltState, metric: str):
-    z = similarities(X, state, metric)
-    soft = softmax(z, axis=1)
-    hard = np.argmax(z, axis=1)
-    return z, soft, hard
+def _logit_blocks(X: np.ndarray, state: UsltState, metric: str):
+    """(rows, logits of X[rows]) over row blocks of at most one block
+    (``_row_blocks``) of logits, or of differences for neg_sq_euclidean."""
+    clusters, d = state.centroids.shape
+    row_bytes = 8 * clusters * (d if metric == "neg_sq_euclidean" else 1)
+    for rows in _row_blocks(X.shape[0], row_bytes):
+        yield rows, similarities(X[rows], state, metric)
 
 
 @dataclass(frozen=True)
@@ -307,10 +309,7 @@ class LocalLossResult:
 
 
 def _xlogx(p: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p)
-    nz = p > 0
-    out[nz] = p[nz] * np.log(p[nz])
-    return out
+    return p * np.log(p, out=np.zeros_like(p), where=p > 0)
 
 
 def _local_per_sample(z, lse, targets) -> np.ndarray:
@@ -379,9 +378,12 @@ class TotalLossResult:
 
 def _total_from_logits(X, z, targets, state, params, metric) -> TotalLossResult:
     """Both terms from one set of batch logits: the softmax and logsumexp
-    they share are computed once."""
-    soft = softmax(z, axis=1)
-    lse = logsumexp(z, axis=1)
+    they share come from one pass of exponentials and row sums."""
+    peak = z.max(axis=1, keepdims=True)
+    soft = np.exp(z - peak)
+    sums = soft.sum(axis=1, keepdims=True)
+    soft /= sums
+    lse = np.squeeze(np.log(sums) + peak, axis=1)
     g = _global_from_logits(X, z, soft, lse, state.centroids, params.tau, metric)
     l = _local_from_logits(X, z, soft, lse, targets, state.centroids, metric)
     return TotalLossResult(
@@ -447,8 +449,10 @@ class UsltFitResult:
 
 
 def _hard_counts(X, state, metric, num_clusters):
-    z = similarities(X, state, metric)
-    return np.bincount(np.argmax(z, axis=1), minlength=num_clusters)
+    counts = np.zeros(num_clusters, dtype=np.int64)
+    for _, z in _logit_blocks(X, state, metric):
+        counts += np.bincount(np.argmax(z, axis=1), minlength=num_clusters)
+    return counts
 
 
 def fit_centroids(
@@ -558,8 +562,12 @@ def select_uslt(
     params = params or UsltParams()
     optimizer = optimizer or OptimizerConfig()
     fit = fit_centroids(matrix, budget, params, optimizer, metric, threads=threads)
-    _, soft, hard = _batch_assign(matrix.data, fit.state, metric)
-    picks, shortfall = _per_cluster_argmax(soft.max(axis=1), hard, budget)
+    confidence = np.empty(matrix.n)
+    hard = np.empty(matrix.n, dtype=np.int64)
+    for rows, z in _logit_blocks(matrix.data, fit.state, metric):
+        hard[rows] = np.argmax(z, axis=1)
+        confidence[rows] = softmax(z, axis=1).max(axis=1)
+    picks, shortfall = _per_cluster_argmax(confidence, hard, budget)
     if shortfall:
         raise EmptyClusterError(
             shortfall, f"budget shortfall: cluster(s) {shortfall} have no members"

@@ -31,6 +31,12 @@ def sign_lattice():
     return np.array([p for p in itertools.product([-1.0, 0.0, 1.0], repeat=5) if any(p)])
 
 
+def horizon_oracle(dist_row, h):
+    """Columns of the h nearest selections of one row: a full sort on
+    (distance, column), so ties go to the lower column."""
+    return sorted(range(len(dist_row)), key=lambda j: (dist_row[j], j))[:h]
+
+
 def reference_kmeanspp(X, clusters, rng):
     """Greedy k-means++ seeding scored one trial at a time: each candidate
     gets its own full difference pass and the first strictly lowest

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from labelsel import (
     DataError,
@@ -16,9 +19,11 @@ from labelsel import (
     select_usl,
     utility_scores,
 )
-from labelsel import density
+from labelsel import density, usl
+from labelsel.density import UtilityScores
+from labelsel.kmeans import Clustering
 
-from helpers import alg1_transcription, sign_lattice
+from helpers import alg1_transcription, horizon_oracle, sign_lattice
 
 
 def ring_matrix(seed, modes=10, per_mode=100, dim=2):
@@ -152,6 +157,53 @@ class TestRegularizeUtilities:
             else:
                 expected = 1.0 / dists[order[0]]
             assert state[i] == pytest.approx(expected, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        d=st.integers(1, 3),
+        m=st.integers(2, 24),
+        h=st.integers(1, 23),
+    )
+    def test_horizon_keeps_oracle_set_on_tied_lattices(self, seed, d, m, h):
+        # integer lattice points: squared distances are exact small
+        # integers, so many selections sit at exactly the h-th distance
+        rng = np.random.default_rng(seed)
+        h = min(h, m - 1)
+        X = rng.integers(0, 3, size=(40, d)).astype(np.float64)
+        S = rng.integers(0, 3, size=(m, d)).astype(np.float64)
+        dist = np.sqrt(((X[:, None, :] - S[None, :, :]) ** 2).sum(axis=2))
+        keep = usl._nearest(dist, h)
+        for i in range(X.shape[0]):
+            assert np.flatnonzero(keep[i]).tolist() == sorted(horizon_oracle(dist[i], h))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31), m=st.integers(2, 12), h=st.integers(1, 11))
+    def test_horizon_penalty_matches_sorted_oracle(self, seed, m, h):
+        rng = np.random.default_rng(seed)
+        h = min(h, m - 1)
+        X = rng.integers(0, 3, size=(30, 3)).astype(np.float64)
+        assignment = np.concatenate([np.arange(m), rng.integers(0, m, size=30 - m)])
+        rng.shuffle(assignment)
+        cl = Clustering(
+            num_clusters=m, assignment=assignment, centroids=np.zeros((m, 3)),
+            objective=0.0, iterations_run=0,
+        )
+        selected = np.array([np.flatnonzero(assignment == c)[0] for c in range(m)])
+        util = UtilityScores(mean_knn_distance=np.ones(30), utility=np.ones(30))
+        params = UslParams(k=1, reg_alpha=1.0, momentum=0.0, iterations=1, horizon=h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # lattice rows repeat selections
+            _, state = regularize_utilities(
+                EmbeddingMatrix(data=X), util, cl, selected, np.zeros(30), params
+            )
+        for i in range(30):
+            dist = np.sqrt(((X[i] - X[selected]) ** 2).sum(axis=1))
+            kept = [
+                j for j in horizon_oracle(dist, h)
+                if assignment[selected[j]] != assignment[i] and dist[j] > 0
+            ]
+            assert state[i] == pytest.approx(sum(1.0 / dist[j] for j in kept), rel=1e-12)
 
     def test_coincident_candidate_excluded_with_warning(self):
         X = np.array([[0.0, 0.0], [0.1, 0.0], [1.0, 0.0], [1.0, 1e-13]])
