@@ -127,25 +127,27 @@ def objective_value(m, centroids: np.ndarray, assignment: np.ndarray) -> float:
     return float((diff * diff).sum())
 
 
-def _sq_dists_from(X, Xc, xx, rows):
-    """len(rows) x n squared distances from X[rows] to every row of X.
+def _centred_sq_dists(A, B, Ac, Bc, aa, bb, margin=1.0):
+    """len(A) x len(B) squared distances between the rows of A and B.
 
-    One Gram-expansion GEMM on the centred copy ``Xc`` (``xx`` holds its
-    squared row norms), clamped at 0. Each entry carries an absolute
-    rounding error of at most about (d + 2) * eps * (|c|^2 + |x|^2): the
-    dot product and both norms are d-term sums, and two more roundings
-    come from the additions. Entries at or below twice that bound may be
-    pure cancellation noise, so they are recomputed from coordinate
-    differences of X; every pair that coincides in X comes out exactly 0.
+    One Gram-expansion GEMM on the copies ``Ac``/``Bc`` centred on a common
+    point (``aa``/``bb`` hold their squared row norms), clamped at 0. Each
+    entry carries an absolute rounding error of at most about (d + 2) * eps
+    * (|a|^2 + |b|^2): the dot product and both norms are d-term sums, and
+    two more roundings come from the additions. Entries at or below
+    ``margin`` times twice that bound are recomputed from coordinate
+    differences of A and B: every pair that coincides comes out exactly 0,
+    and every entry kept from the GEMM has a relative error below
+    1 / (2 * margin).
     """
-    d2 = Xc[rows] @ Xc.T
+    d2 = Ac @ Bc.T
     d2 *= -2.0
-    scale = xx[rows][:, None] + xx[None, :]
+    scale = aa[:, None] + bb[None, :]
     d2 += scale
     np.maximum(d2, 0.0, out=d2)
-    scale *= 2.0 * (X.shape[1] + 2) * np.finfo(np.float64).eps
+    scale *= margin * 2.0 * (A.shape[1] + 2) * np.finfo(np.float64).eps
     r, c = np.divmod(np.flatnonzero(d2 <= scale), d2.shape[1])
-    diff = X[rows[r]] - X[c]
+    diff = A[r] - B[c]
     d2[r, c] = (diff * diff).sum(axis=1)
     return d2
 
@@ -166,23 +168,27 @@ def kmeanspp_init(X: np.ndarray, clusters: int, rng: np.random.Generator) -> np.
     trials = 2 + int(np.log2(max(clusters, 2)))
     Xc = X - X.mean(axis=0)  # distances are translation invariant
     xx = np.einsum("ij,ij->i", Xc, Xc)
+
+    def sq_dists_from(rows):
+        return _centred_sq_dists(X[rows], X, Xc[rows], Xc, xx[rows], xx)
+
     chosen = np.empty(clusters, dtype=np.int64)
     chosen[0] = rng.integers(n)
-    d2 = _sq_dists_from(X, Xc, xx, chosen[:1])[0]
+    d2 = sq_dists_from(chosen[:1])[0]
     taken = np.zeros(n, dtype=bool)
     taken[chosen[0]] = True
     for j in range(1, clusters):
         total = d2.sum()
         if total > 0:
             cands = rng.choice(n, size=trials, p=d2 / total)
-            cand_d2 = _sq_dists_from(X, Xc, xx, cands)
+            cand_d2 = sq_dists_from(cands)
             np.minimum(cand_d2, d2[None, :], out=cand_d2)
             best = int(np.argmin(cand_d2.sum(axis=1)))
             chosen[j] = cands[best]
             d2 = cand_d2[best].copy()
         else:
             chosen[j] = int(np.flatnonzero(~taken)[0])
-            np.minimum(d2, _sq_dists_from(X, Xc, xx, chosen[j : j + 1])[0], out=d2)
+            np.minimum(d2, sq_dists_from(chosen[j : j + 1])[0], out=d2)
         taken[chosen[j]] = True
     return X[chosen].copy()
 

@@ -19,10 +19,14 @@ import numpy as np
 from .density import _row_blocks, build_knn_graph, utility_scores, UtilityScores
 from .errors import DataError, EmptyClusterError
 from .io import EmbeddingMatrix
-from .kmeans import Clustering, kmeans_fit
+from .kmeans import Clustering, _centred_sq_dists, kmeans_fit
 
 # difference path up to this n * m * d volume, Gram expansion above
 _REG_DIRECT_LIMIT = 1 << 24
+# Gram entries within this factor of their rounding bound are recomputed
+# from differences, so every kept squared distance is relatively accurate
+# to 2^-27: the penalty 1 / dist^alpha magnifies the error of close pairs
+_REG_EXACT_MARGIN = 2.0**26
 
 
 @dataclass(frozen=True)
@@ -177,24 +181,24 @@ def regularize_utilities(
     reg = np.empty(n)
     excluded: list[int] = []
     d = X.shape[1]
-    # Gram expansion for bulk distances at scale; rows whose minimum comes
-    # out below the cancellation floor are recomputed from differences so
-    # coincidence detection stays exact.
+    # Gram expansion for bulk distances at scale, on rows centred on the
+    # data mean so that an offset does not cancel digits; near-cancelling
+    # entries are recomputed from differences, which keeps coincidence
+    # detection exact.
     use_gemm = n * m * d > _REG_DIRECT_LIMIT
     if use_gemm:
-        sel_sq = (sel_X * sel_X).sum(1)
+        centre = X.mean(axis=0)
+        sel_c = sel_X - centre
+        sel_sq = np.einsum("ij,ij->i", sel_c, sel_c)
 
     for rows in _row_blocks(n, 8 * m * (1 if use_gemm else d)):
         xb = X[rows]
         if use_gemm:
-            dist = xb @ sel_X.T
-            dist *= -2.0
-            dist += np.einsum("bd,bd->b", xb, xb)[:, None]
-            dist += sel_sq[None, :]
-            np.maximum(dist, 0.0, out=dist)
-            for r in np.flatnonzero(dist.min(axis=1) < 1e-10):
-                diff_r = xb[r][None, :] - sel_X
-                dist[r] = (diff_r * diff_r).sum(axis=1)
+            xc = xb - centre
+            dist = _centred_sq_dists(
+                xb, sel_X, xc, sel_c, np.einsum("ij,ij->i", xc, xc), sel_sq,
+                _REG_EXACT_MARGIN,
+            )
             np.sqrt(dist, out=dist)
         else:
             diff = xb[:, None, :] - sel_X[None, :, :]

@@ -205,6 +205,33 @@ class TestRegularizeUtilities:
             ]
             assert state[i] == pytest.approx(sum(1.0 / dist[j] for j in kept), rel=1e-12)
 
+    def test_gram_branch_matches_differences_on_offset_data(self):
+        # n * m * d = 20.5M takes the Gram branch; at a 1000 offset an
+        # uncentred expansion loses about six of the 16 digits
+        rng = np.random.default_rng(0)
+        n, m, d = 20_000, 64, 16
+        X = 1000.0 + rng.standard_normal((n, d))
+        assignment = np.arange(n) % m
+        X[m] = X[1]  # row m is in cluster 0, 1e-4 from cluster 1's pick
+        X[m, 0] += 1e-4
+        cl = Clustering(
+            num_clusters=m, assignment=assignment, centroids=np.zeros((m, d)),
+            objective=0.0, iterations_run=0,
+        )
+        selected = np.arange(m)
+        util = UtilityScores(mean_knn_distance=np.ones(n), utility=np.ones(n))
+        params = UslParams(reg_alpha=1.0, momentum=0.0)
+        _, state = regularize_utilities(
+            EmbeddingMatrix(data=X), util, cl, selected, np.zeros(n), params
+        )
+        expected = np.zeros(n)
+        for j in selected:
+            diff = X - X[j]
+            other = assignment != assignment[j]
+            expected[other] += 1.0 / np.sqrt((diff[other] * diff[other]).sum(axis=1))
+        assert expected[m] > 1e4
+        np.testing.assert_allclose(state, expected, rtol=1e-12)
+
     def test_coincident_candidate_excluded_with_warning(self):
         X = np.array([[0.0, 0.0], [0.1, 0.0], [1.0, 0.0], [1.0, 1e-13]])
         m = EmbeddingMatrix(data=X)
