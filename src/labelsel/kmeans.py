@@ -70,8 +70,8 @@ def _assign_with_dist(X, C, xx=None):
     """Assignment plus each point's squared distance to its centroid.
 
     The branch is chosen from the whole n * C * d volume; either way the
-    rows go through in blocks (``_row_blocks``) of at most one block of
-    differences or of n x C distances at a time.
+    rows go through in ``_row_blocks``, so neither the n x C x d differences
+    nor the n x C distances are ever built whole.
     """
     n, d = X.shape
     clusters = C.shape[0]

@@ -158,8 +158,8 @@ def assign(x: np.ndarray, state: UsltState, metric: str = "dot") -> AssignmentPa
 
 
 def _logit_blocks(X: np.ndarray, state: UsltState, metric: str):
-    """(rows, logits of X[rows]) over row blocks of at most one block
-    (``_row_blocks``) of logits, or of differences for neg_sq_euclidean."""
+    """(rows, logits of X[rows]) for each of the ``_row_blocks`` of X, sized
+    by the logits, or by the differences for neg_sq_euclidean."""
     clusters, d = state.centroids.shape
     row_bytes = 8 * clusters * (d if metric == "neg_sq_euclidean" else 1)
     for rows in _row_blocks(X.shape[0], row_bytes):

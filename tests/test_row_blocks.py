@@ -16,16 +16,13 @@ from labelsel import (
     SyntheticSpec,
     UslParams,
     UsltParams,
-    build_knn_graph,
     fit_centroids,
     generate_synthetic,
     kmeans_fit,
     l2_normalize,
     regularize_utilities,
-    repick_per_cluster,
     select_usl,
     select_uslt,
-    utility_scores,
 )
 from labelsel import density, kmeans, usl, uslt
 from labelsel.density import UtilityScores
@@ -70,8 +67,9 @@ class TestBlockBudgetInvariance:
         monkeypatch.setattr(usl, "_REG_DIRECT_LIMIT", limit)
         matrix = mixture(12, 25, 6, seed=11)
         default = fingerprint(matrix, 12)
-        # `rows` rows of an n x 12 float64 matrix per block; one row of the
-        # n x 12 x 6 difference arrays
+        # `rows` rows of an n x 12 float64 matrix per block (a one-row GEMM
+        # block would go to BLAS GEMV, which sums in another order); one row
+        # of the n x 12 x 6 difference arrays
         monkeypatch.setattr(density, "_ROW_BLOCK_BYTES", rows * 8 * 12)
         blocked = fingerprint(matrix, 12)
         for key in default:
