@@ -20,8 +20,17 @@ rows are ranked by (distance, index). Two strategies share one contract:
   boundary) are recomputed in full and counted in
   ``NeighborGraph.fallback_rows``.
 
-Blocks of queries are independent, so results are bit-identical for any
-worker count.
+The Gram block and its ``argpartition`` are a worker's largest scratch,
+QUERY_BLOCK * n * 12 bytes. QUERY_BLOCK is a row count, not a byte budget:
+below about 128 rows the per-call packing of the n-row GEMM operand starts
+to cost more time than the smaller block saves.
+
+Exact distances are computed in tiles of at most EXACT_TILE_BYTES of
+differences, over rows and candidates, so a row recomputed against every
+point holds one tile, not an n x d slab. Blocks of queries are
+independent, and neither the block nor the tile changes any pair's
+arithmetic, so results are bit-identical for any worker count, block and
+tile size.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from .io import EmbeddingMatrix
 
 DIRECT_PATH_MAX_N = 2048
 CANDIDATE_PAD = 16
-QUERY_BLOCK = 512
+QUERY_BLOCK = 128
 EXACT_TILE_BYTES = 1 << 20
 JITTER_SCALE = 1e-12
 
@@ -49,15 +58,17 @@ _ROW_BLOCK_BYTES = 2 << 20
 
 def _row_blocks(n: int, row_bytes: int) -> list[slice]:
     """Slices that cover range(n) in near-equal row blocks of at most
-    _ROW_BLOCK_BYTES at ``row_bytes`` per row (one row at least).
+    _ROW_BLOCK_BYTES at ``row_bytes`` per row, and of at least two rows
+    whenever n >= 2.
 
     No stage that walks an n x m matrix through these blocks holds more
     than one block of it. Equal sizes avoid a ragged last block of one or
-    two rows, which BLAS may route to a GEMV or small-matrix kernel with a
-    different summation order than the other blocks.
+    two rows, and the two-row floor a one-row block at any budget: BLAS
+    routes a one-row GEMM to GEMV, whose summation order differs from the
+    other blocks', so results would depend on the block size.
     """
-    per_block = max(1, _ROW_BLOCK_BYTES // row_bytes)
-    blocks = -(-n // per_block)
+    per_block = max(2, _ROW_BLOCK_BYTES // row_bytes)
+    blocks = min(-(-n // per_block), max(1, n // 2))
     return [slice(i * n // blocks, (i + 1) * n // blocks) for i in range(blocks)]
 
 
@@ -94,7 +105,7 @@ class NeighborGraph:
             raise DataError(f"graph claims k={self.k} but rows have {neighbors.shape[1]} entries")
         if (neighbors == np.arange(neighbors.shape[0])[:, None]).any():
             raise DataError("self-index present in neighbor rows")
-        if (np.diff(distances, axis=1) < 0).any():
+        if (distances[:, 1:] < distances[:, :-1]).any():
             raise DataError("neighbor distances must be non-decreasing per row")
         if distances.size and distances.min() < 0:
             raise DataError("negative neighbor distance")
@@ -124,18 +135,24 @@ def _exact_block(X: np.ndarray, i0: int, i1: int, cand: np.ndarray) -> np.ndarra
     """Float64 distances from rows i0:i1 to per-row candidate indices.
 
     Computed from coordinate differences (never from expanded dot products)
-    so close pairs keep full relative precision. Tiled so each gathered
-    difference block stays within EXACT_TILE_BYTES, about an L2 cache.
+    so close pairs keep full relative precision. Tiled on both axes so each
+    gathered difference block stays within EXACT_TILE_BYTES, about an L2
+    cache, even when a row's candidates are all n points; each entry is
+    the same d-term sum whatever the tiling.
     """
     b, c = i1 - i0, cand.shape[1]
+    pair_bytes = X.shape[1] * 8
     out = np.empty((b, c))
-    tile = max(1, EXACT_TILE_BYTES // (c * X.shape[1] * 8))
-    for t0 in range(0, b, tile):
-        t1 = min(t0 + tile, b)
-        diff = X[cand[t0:t1]]
-        diff -= X[i0 + t0 : i0 + t1, None, :]
-        np.square(diff, out=diff)
-        np.sum(diff, axis=2, out=out[t0:t1])
+    cols = max(1, min(c, EXACT_TILE_BYTES // pair_bytes))
+    rows = max(1, EXACT_TILE_BYTES // (cols * pair_bytes))
+    for t0 in range(0, b, rows):
+        t1 = min(t0 + rows, b)
+        for c0 in range(0, c, cols):
+            c1 = min(c0 + cols, c)
+            diff = X[cand[t0:t1, c0:c1]]
+            diff -= X[i0 + t0 : i0 + t1, None, :]
+            np.square(diff, out=diff)
+            np.sum(diff, axis=2, out=out[t0:t1, c0:c1])
     return np.sqrt(out, out=out)
 
 

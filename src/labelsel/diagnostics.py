@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import UtilityScores
+from .density import UtilityScores, _row_blocks
 from .errors import DataError
 from .io import EmbeddingMatrix, LabelVector, SelectionFile, l2_normalize
 
@@ -125,22 +125,18 @@ def _average_rank_percentile(values: np.ndarray) -> np.ndarray:
     return 100.0 * ranks / (n - 1)
 
 
-_PAIRWISE_BLOCK_BYTES = 16 << 20
-
-
 def _min_pairwise_distance(P: np.ndarray) -> float:
     """Smallest distance between two distinct rows of P.
 
-    Row blocks of at most ``_PAIRWISE_BLOCK_BYTES`` of differences against
-    the later rows, so memory stays O(m * d) however many rows there are.
-    Each pair's squared distance is the same difference arithmetic as one
-    full m x m x d pass, and sqrt is monotone, so the value is bit-identical.
+    Row blocks (``density._row_blocks``) of differences against the later
+    rows, so memory stays O(m * d) however many rows there are. Each pair's
+    squared distance is the same difference arithmetic as one full
+    m x m x d pass, and sqrt is monotone, so the value is bit-identical.
     """
     m, d = P.shape
-    block = max(1, _PAIRWISE_BLOCK_BYTES // (m * d * 8))
     best = math.inf
-    for i0 in range(0, m - 1, block):
-        i1 = min(i0 + block, m - 1)
+    for rows in _row_blocks(m - 1, m * d * 8):
+        i0, i1 = rows.start, rows.stop
         diff = P[i0:i1, None, :] - P[None, i0 + 1 :, :]
         np.multiply(diff, diff, out=diff)
         sq = diff.sum(axis=2)

@@ -109,12 +109,18 @@ def update_step(m, assignment: np.ndarray, clusters: int):
     Returns (centroids, empty_ids); rows for empty clusters are zero-filled
     and listed in empty_ids so the caller can re-seed them.
     """
-    X = _as_data(m)
+    return _update_from_columns(np.ascontiguousarray(_as_data(m).T), assignment, clusters)
+
+
+def _update_from_columns(XT, assignment, clusters):
+    """update_step on the d x n C-contiguous transpose ``XT`` of the data:
+    each per-coordinate ``bincount`` reads one contiguous row of it, not a
+    strided column (same sums, same order)."""
     assignment = np.asarray(assignment, dtype=np.int64)
     counts = np.bincount(assignment, minlength=clusters)
-    sums = np.empty((clusters, X.shape[1]))
-    for j in range(X.shape[1]):
-        sums[:, j] = np.bincount(assignment, weights=X[:, j], minlength=clusters)
+    sums = np.empty((clusters, XT.shape[0]))
+    for j, column in enumerate(XT):
+        sums[:, j] = np.bincount(assignment, weights=column, minlength=clusters)
     empty = np.flatnonzero(counts == 0)
     safe = np.where(counts == 0, 1, counts)
     centroids = sums / safe[:, None]
@@ -241,12 +247,13 @@ def kmeans_fit(
         raise DataError(f"unknown init {init!r}")
 
     xx = (X * X).sum(1)
+    XT = np.ascontiguousarray(X.T)
     assignment, best = _assign_with_dist(X, centroids, xx)
     prev = float(best.sum())
     history = [prev]
     iterations = 0
     for _ in range(max_iters):
-        centroids, empty = update_step(X, assignment, clusters)
+        centroids, empty = _update_from_columns(XT, assignment, clusters)
         if empty:
             centroids = _repair_empty(X, centroids, assignment, empty)
         assignment, best = _assign_with_dist(X, centroids, xx)

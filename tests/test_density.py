@@ -1,9 +1,11 @@
+import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from labelsel import (
     DataError,
@@ -195,6 +197,110 @@ class TestPreselectPath:
         g, g_wide = self.preselect(X, k), self.preselect(X, wide)
         np.testing.assert_array_equal(g.neighbors, g_wide.neighbors[:, :k])
         np.testing.assert_array_equal(g.distances, g_wide.distances[:, :k])
+
+
+def lattice(side, dim):
+    """Every point of {0, ..., side - 1}^dim: many exact distance ties."""
+    axes = np.meshgrid(*[np.arange(float(side))] * dim, indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, dim)
+
+
+class TestBlockAndThreadInvariance:
+    """The preselect path's graph is the same bytes for every worker count,
+    query block and exact-recompute tile."""
+
+    @staticmethod
+    def graph(X, k, threads, block, tile=None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(density, "DIRECT_PATH_MAX_N", 8)
+            mp.setattr(density, "QUERY_BLOCK", block)
+            if tile is not None:
+                mp.setattr(density, "EXACT_TILE_BYTES", tile)
+            return graph_from(X, k, threads=threads)
+
+    def assert_invariant(self, X, k):
+        ref = self.graph(X, k, 1, 128)
+        configs = [(t, b, None) for t, b in itertools.product((1, 2, 3), (7, 64, 128))]
+        # three difference rows of d coordinates per tile
+        configs.append((2, 7, 3 * X.shape[1] * 8))
+        for threads, block, tile in configs:
+            g = self.graph(X, k, threads, block, tile)
+            assert g.neighbors.tobytes() == ref.neighbors.tobytes(), (threads, block, tile)
+            assert g.distances.tobytes() == ref.distances.tobytes(), (threads, block, tile)
+        return ref
+
+    def test_fallback_rows_invariant(self):
+        # {0,1,2}^5 at k=11: the centre's k-th distance is shared by more
+        # than k + pad points, so some rows must be recomputed in full
+        assert self.assert_invariant(lattice(3, 5), 11).fallback_rows > 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(20, 200),
+        d=st.integers(1, 10),
+        k_frac=st.floats(0.0, 1.0),
+        offset=st.floats(-1e4, 1e4),
+        grid=st.booleans(),
+    )
+    def test_graph_independent_of_threads_blocks_and_tile(self, seed, n, d, k_frac, offset, grid):
+        rng = np.random.default_rng(seed)
+        if grid:
+            X = np.unique(rng.integers(0, 4, size=(n, d)), axis=0).astype(np.float64)
+            assume(X.shape[0] >= 12)
+            X = X[rng.permutation(X.shape[0])]
+        else:
+            X = rng.standard_normal((n, d))
+        X += offset
+        k = 1 + int(k_frac * (X.shape[0] - 2))
+        self.assert_invariant(X, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        b=st.integers(1, 6),
+        c=st.integers(1, 60),
+        d=st.integers(1, 20),
+        tile=st.integers(1, 4096),
+    )
+    def test_exact_block_independent_of_tile(self, seed, b, c, d, tile):
+        rng = np.random.default_rng(seed)
+        X = 100.0 * rng.random() + rng.standard_normal((b + c, d))
+        cand = rng.integers(0, b + c, size=(b, c))
+        default = density._exact_block(X, 0, b, cand)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(density, "EXACT_TILE_BYTES", tile)
+            tiled = density._exact_block(X, 0, b, cand)
+        assert tiled.tobytes() == default.tobytes()
+
+
+def traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestScratchMemory:
+    """The graph's scratch is a fixed number of query rows per worker and
+    an exact-recompute tile bounded on both axes."""
+
+    def test_preselect_scratch(self):
+        # 512-row blocks peaked at 66 MB here with two workers
+        rng = np.random.default_rng(0)
+        m = EmbeddingMatrix(data=rng.standard_normal((5000, 64)))
+        assert traced_peak(build_knn_graph, m, 20, threads=2) < 32e6
+
+    def test_exact_tile_bounded_for_a_row_against_every_point(self, monkeypatch):
+        tile = 64 << 10
+        monkeypatch.setattr(density, "EXACT_TILE_BYTES", tile)
+        n, d = 10_000, 128
+        X = np.random.default_rng(1).standard_normal((n, d))
+        everyone = np.arange(n, dtype=np.int64)[None, :]
+        # the (1, n) result plus a few tiles, not an n x d slab (10 MB)
+        assert traced_peak(density._exact_block, X, 0, 1, everyone) < 8 * n + 4 * tile
 
 
 class TestResolveThreads:

@@ -20,7 +20,7 @@ from labelsel import (
     stratified_selection,
     utility_scores,
 )
-from labelsel import diagnostics
+from labelsel import density, diagnostics
 from labelsel.density import UtilityScores
 from labelsel.diagnostics import comparison_table
 
@@ -94,7 +94,7 @@ class TestReport:
 
     @pytest.mark.parametrize("block_bytes", [1, 4096, 16 << 20])
     def test_min_pairwise_distance_bitwise_equals_full_pass(self, monkeypatch, block_bytes):
-        monkeypatch.setattr(diagnostics, "_PAIRWISE_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(density, "_ROW_BLOCK_BYTES", block_bytes)
         for seed in range(6):
             rng = np.random.default_rng(seed)
             m, d = int(rng.integers(2, 60)), int(rng.integers(1, 9))
@@ -104,6 +104,17 @@ class TestReport:
             diff = P[:, None, :] - P[None, :, :]
             full = np.sqrt((diff * diff).sum(axis=2))[np.triu_indices(m, k=1)].min()
             assert diagnostics._min_pairwise_distance(P) == full
+
+    def test_min_pairwise_distance_scratch_is_row_block_sized(self):
+        # 16 MiB difference blocks peaked at 32.5 MB here
+        P = np.random.default_rng(1).standard_normal((1000, 64))
+        tracemalloc.start()
+        try:
+            diagnostics._min_pairwise_distance(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_report_memory_stays_linear_in_budget(self):
         # an m x m x d difference array at m=800, d=64 alone is 328 MB

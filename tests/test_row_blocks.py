@@ -76,6 +76,32 @@ class TestBlockBudgetInvariance:
             assert blocked[key] == default[key], key
 
 
+class TestTwoRowFloor:
+    """A one-row GEMM block goes to BLAS GEMV, which sums in another order,
+    so no budget may produce one."""
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 3, 7])
+    def test_every_block_has_two_rows(self, monkeypatch, rows):
+        row_bytes = 8 * 12
+        # rows == 0 puts the budget below one row
+        monkeypatch.setattr(density, "_ROW_BLOCK_BYTES", max(1, rows * row_bytes))
+        for n in range(2, 60):
+            blocks = density._row_blocks(n, row_bytes)
+            assert blocks[0].start == 0 and blocks[-1].stop == n
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            sizes = [b.stop - b.start for b in blocks]
+            assert min(sizes) >= 2, (n, sizes)
+            assert max(sizes) <= max(rows, 3), (n, sizes)
+
+    def test_kmeans_history_below_one_row_equals_two_rows(self, monkeypatch):
+        monkeypatch.setattr(kmeans, "_DIRECT_ASSIGN_LIMIT", 0)
+        matrix = mixture(12, 25, 6, seed=11)
+        monkeypatch.setattr(density, "_ROW_BLOCK_BYTES", 2 * 8 * 12)
+        two_rows = kmeans_fit(matrix, 12, seed=3).objective_history
+        monkeypatch.setattr(density, "_ROW_BLOCK_BYTES", 1)
+        assert kmeans_fit(matrix, 12, seed=3).objective_history == two_rows
+
+
 class TestPeakMemory:
     """At n=5,000 and m=1,000 one n x m float64 matrix is 40 MB; each stage
     must peak below a quarter of that. The d=3 cases take the difference
