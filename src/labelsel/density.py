@@ -62,10 +62,10 @@ def _row_blocks(n: int, row_bytes: int) -> list[slice]:
     whenever n >= 2.
 
     No stage that walks an n x m matrix through these blocks holds more
-    than one block of it. Equal sizes avoid a ragged last block of one or
-    two rows, and the two-row floor a one-row block at any budget: BLAS
-    routes a one-row GEMM to GEMV, whose summation order differs from the
-    other blocks', so results would depend on the block size.
+    than one block of it. Near-equal sizes avoid a ragged last block of one
+    or two rows, and the two-row floor avoids a one-row block at any
+    budget: BLAS routes a one-row GEMM to GEMV, which sums in another order
+    than the other blocks, so results would depend on the block size.
     """
     per_block = max(2, _ROW_BLOCK_BYTES // row_bytes)
     blocks = min(-(-n // per_block), max(1, n // 2))
@@ -138,18 +138,22 @@ def _exact_block(X: np.ndarray, i0: int, i1: int, cand: np.ndarray) -> np.ndarra
     so close pairs keep full relative precision. Tiled on both axes so each
     gathered difference block stays within EXACT_TILE_BYTES, about an L2
     cache, even when a row's candidates are all n points; each entry is
-    the same d-term sum whatever the tiling.
+    the same d-term sum whatever the tiling. Every tile reuses one buffer.
     """
     b, c = i1 - i0, cand.shape[1]
-    pair_bytes = X.shape[1] * 8
+    d = X.shape[1]
     out = np.empty((b, c))
-    cols = max(1, min(c, EXACT_TILE_BYTES // pair_bytes))
-    rows = max(1, EXACT_TILE_BYTES // (cols * pair_bytes))
+    cols = max(1, min(c, EXACT_TILE_BYTES // (d * 8)))
+    rows = max(1, EXACT_TILE_BYTES // (cols * d * 8))
+    buf = np.empty(min(rows, b) * cols * d)
     for t0 in range(0, b, rows):
         t1 = min(t0 + rows, b)
         for c0 in range(0, c, cols):
             c1 = min(c0 + cols, c)
-            diff = X[cand[t0:t1, c0:c1]]
+            diff = buf[: (t1 - t0) * (c1 - c0) * d].reshape(t1 - t0, c1 - c0, d)
+            # candidates are in range, so "clip" only skips the buffered
+            # bounds check of the default mode
+            np.take(X, cand[t0:t1, c0:c1], axis=0, out=diff, mode="clip")
             diff -= X[i0 + t0 : i0 + t1, None, :]
             np.square(diff, out=diff)
             np.sum(diff, axis=2, out=out[t0:t1, c0:c1])
@@ -180,11 +184,13 @@ class _GramOperands:
     ``a`` = s * (X - mean) with s a power of two that brings the largest
     magnitude into [0.5, 1), so the float32 copy neither overflows nor
     underflows in bulk, and the scaling itself is exact. ``query[i] @
-    base[j]`` = ||a_i||^2 + ||a_j||^2 - 2 a_i.a_j = s^2 ||x_i - x_j||^2.
+    base[:, j]`` = ||a_i||^2 + ||a_j||^2 - 2 a_i.a_j = s^2 ||x_i - x_j||^2.
+    ``base`` is stored (d + 2) x n, so each block's GEMM reads it without a
+    transpose, which OpenBLAS packs faster.
     """
 
     query: np.ndarray  # [a, 1, ||a||^2], float32
-    base: np.ndarray  # [-2a, ||a||^2, 1], float32
+    base: np.ndarray  # [-2a, ||a||^2, 1] transposed, float32
     sq: np.ndarray  # ||a||^2 of the float32 rows, float64 (exact products)
     sq_max: float
     scale: float
@@ -200,7 +206,7 @@ class _GramOperands:
         one = np.ones_like(sq32)
         return cls(
             query=np.hstack([a, one, sq32]),
-            base=np.hstack([-2.0 * a, sq32, one]),
+            base=np.vstack([-2.0 * a.T, sq32.T, one.T]),
             sq=sq,
             sq_max=float(sq.max()),
             scale=scale,
@@ -266,7 +272,7 @@ def _block_preselect(X, ops, i0, i1, k):
     n, d = X.shape
     kp = k + CANDIDATE_PAD
     rows = np.arange(i1 - i0)
-    gram = ops.query[i0:i1] @ ops.base.T
+    gram = ops.query[i0:i1] @ ops.base
     gram[rows, np.arange(i0, i1)] = np.inf
     part = np.argpartition(gram, kp, axis=1)
     cand = np.sort(part[:, :kp], axis=1)
