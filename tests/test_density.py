@@ -288,7 +288,7 @@ class TestScratchMemory:
     an exact-recompute tile bounded on both axes."""
 
     def test_preselect_scratch(self):
-        # 512-row blocks peaked at 66 MB here with two workers
+        # 512-row query blocks would peak at 66 MB with two workers
         rng = np.random.default_rng(0)
         m = EmbeddingMatrix(data=rng.standard_normal((5000, 64)))
         assert traced_peak(build_knn_graph, m, 20, threads=2) < 32e6

@@ -106,7 +106,7 @@ class TestReport:
             assert diagnostics._min_pairwise_distance(P) == full
 
     def test_min_pairwise_distance_scratch_is_row_block_sized(self):
-        # 16 MiB difference blocks peaked at 32.5 MB here
+        # 16 MiB difference blocks would peak at 32.5 MB
         P = np.random.default_rng(1).standard_normal((1000, 64))
         tracemalloc.start()
         try:
