@@ -22,8 +22,9 @@ rows are ranked by (distance, index). Two strategies share one contract:
 
 The Gram block and its ``argpartition`` are a worker's largest scratch,
 QUERY_BLOCK * n * 12 bytes. QUERY_BLOCK is a row count, not a byte budget:
-below about 128 rows the per-call packing of the n-row GEMM operand starts
-to cost more time than the smaller block saves.
+fewer rows cost CPU, because BLAS packs the whole n-row GEMM operand on
+every call. 128 rows keeps the kNN stage within noise of 512-row blocks at
+n=10,000 and within about 15% at n=5,000, at a quarter of the memory.
 
 Exact distances are computed in tiles of at most EXACT_TILE_BYTES of
 differences, over rows and candidates, so a row recomputed against every
