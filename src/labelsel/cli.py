@@ -126,69 +126,54 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# The tuning flags of `select`: argparse dest -> (flag, {method: (target,
+# field)}), the target being what the method builds from the flag. A flag
+# set for a method it has no entry for is a usage error; the report lists
+# the set flags in this order.
+_TUNING_FLAGS = {
+    "k": ("--k", {"usl": (UslParams, "k"), "uslt": (UsltParams, "neighbor_k")}),
+    "lam": ("--lambda", {"usl": (UslParams, "reg_lambda"), "uslt": (UsltParams, "loss_weight")}),
+    "alpha": ("--alpha", {"usl": (UslParams, "reg_alpha"), "uslt": (UsltParams, "adjust_alpha")}),
+    "momentum": ("--momentum", {"usl": (UslParams, "momentum"), "uslt": (UsltParams, "momentum")}),
+    "iters": ("--iters", {"usl": (UslParams, "iterations"), "uslt": (OptimizerConfig, "steps")}),
+    "horizon": ("--horizon", {"usl": (UslParams, "horizon")}),
+    "tau": ("--tau", {"uslt": (UsltParams, "tau")}),
+    "temperature": ("--temperature", {"uslt": (UsltParams, "temperature")}),
+    "learning_rate": ("--learning-rate", {"uslt": (OptimizerConfig, "learning_rate")}),
+    "batch_size": ("--batch-size", {"uslt": (OptimizerConfig, "batch_size")}),
+    "metric": ("--metric", {"uslt": ("metric", "metric")}),
+}
+
+
+def _set_flags(args) -> list[str]:
+    return [dest for dest in _TUNING_FLAGS if getattr(args, dest) is not None]
+
+
+def _overrides(args, target) -> dict:
+    """Field values of the set flags that args.method routes to ``target``."""
+    out = {}
+    for dest in _set_flags(args):
+        to, field = _TUNING_FLAGS[dest][1][args.method]
+        if to is target:
+            out[field] = getattr(args, dest)
+    return out
+
+
 def _resolve_usl_params(args) -> UslParams:
     if args.profile == "large":
         base = UslParams.large_scale()
     else:
         base = UslParams.small_scale(args.budget)
-    updates = {"seed": args.seed}
-    if args.k is not None:
-        updates["k"] = args.k
-    if args.lam is not None:
-        updates["reg_lambda"] = args.lam
-    if args.alpha is not None:
-        updates["reg_alpha"] = args.alpha
-    if args.momentum is not None:
-        updates["momentum"] = args.momentum
-    if args.iters is not None:
-        updates["iterations"] = args.iters
-    if args.horizon is not None:
-        updates["horizon"] = args.horizon
-    return UslParams(**{**asdict(base), **updates})
+    return UslParams(**{**asdict(base), "seed": args.seed, **_overrides(args, UslParams)})
 
 
 def _resolve_uslt(args):
     base = UsltParams.large_scale() if args.profile == "large" else UsltParams.small_scale()
-    updates = {}
-    if args.k is not None:
-        updates["neighbor_k"] = args.k
-    if args.lam is not None:
-        updates["loss_weight"] = args.lam
-    if args.alpha is not None:
-        updates["adjust_alpha"] = args.alpha
-    if args.momentum is not None:
-        updates["momentum"] = args.momentum
-    if args.tau is not None:
-        updates["tau"] = args.tau
-    if args.temperature is not None:
-        updates["temperature"] = args.temperature
-    params = UsltParams(**{**asdict(base), **updates})
-    opt_updates = {"seed": args.seed}
-    if args.iters is not None:
-        opt_updates["steps"] = args.iters
-    if args.learning_rate is not None:
-        opt_updates["learning_rate"] = args.learning_rate
-    if args.batch_size is not None:
-        opt_updates["batch_size"] = args.batch_size
-    optimizer = OptimizerConfig(**{**asdict(OptimizerConfig()), **opt_updates})
-    metric = args.metric or "dot"
-    return params, optimizer, metric
-
-
-def _overridden_flags(args) -> list[str]:
-    names = ["k", "lam", "alpha", "momentum", "iters", "horizon", "tau",
-             "temperature", "learning_rate", "batch_size", "metric"]
-    pretty = {"lam": "lambda", "learning_rate": "learning-rate", "batch_size": "batch-size"}
-    return [pretty.get(n, n) for n in names if getattr(args, n) is not None]
-
-
-_METHOD_FLAGS = {
-    "usl": {"k", "lam", "alpha", "momentum", "iters", "horizon"},
-    "uslt": {"k", "lam", "alpha", "momentum", "iters", "tau", "temperature",
-             "learning_rate", "batch_size", "metric"},
-    "random": set(),
-    "stratified": set(),
-}
+    params = UsltParams(**{**asdict(base), **_overrides(args, UsltParams)})
+    optimizer = OptimizerConfig(
+        **{**asdict(OptimizerConfig()), "seed": args.seed, **_overrides(args, OptimizerConfig)}
+    )
+    return params, optimizer, args.metric or "dot"
 
 
 def cmd_select(args) -> int:
@@ -196,16 +181,10 @@ def cmd_select(args) -> int:
         raise UsageError("--budget must be >= 1")
     if args.method == "stratified" and not args.labels:
         raise UsageError("--labels is required for the stratified oracle baseline")
-    allowed = _METHOD_FLAGS[args.method]
-    pretty = {"lam": "--lambda", "learning_rate": "--learning-rate",
-              "batch_size": "--batch-size"}
-    for name in ("k", "lam", "alpha", "momentum", "iters", "horizon", "tau",
-                 "temperature", "learning_rate", "batch_size", "metric"):
-        if getattr(args, name) is not None and name not in allowed:
-            raise UsageError(
-                f"{pretty.get(name, '--' + name)} does not apply to method "
-                f"{args.method!r}"
-            )
+    for dest in _set_flags(args):
+        flag, methods = _TUNING_FLAGS[dest]
+        if args.method not in methods:
+            raise UsageError(f"{flag} does not apply to method {args.method!r}")
     matrix = l2_normalize(load_embeddings(args.embeddings, args.format))
     n = matrix.n
     report: dict = {
@@ -223,7 +202,7 @@ def cmd_select(args) -> int:
             "threads": args.threads,
             "l2_normalized": True,
         },
-        "overrides": _overridden_flags(args),
+        "overrides": [_TUNING_FLAGS[dest][0][2:] for dest in _set_flags(args)],
     }
 
     if args.method == "usl":

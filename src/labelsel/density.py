@@ -3,28 +3,31 @@
 The graph is exact under Euclidean distance with ties broken by lower
 index. Every reported distance is computed in float64 from coordinate
 differences, the reference-precision formulation (no cancellation), and
-rows are ranked by (distance, index). Two strategies share one contract:
+rows are ranked by (distance, index). Every input goes through one loop
+over query blocks of QUERY_BLOCK rows:
 
-* small inputs (n <= DIRECT_PATH_MAX_N): the full row of distances, then
-  the ranking.
-* large inputs: the rows are centred once and rounded to float32, and one
-  GEMM per query block of QUERY_BLOCK rows gives approximate squared
-  distances with the norms folded into the operands. ``argpartition``
-  keeps k + CANDIDATE_PAD candidates per row and reads the smallest
-  excluded Gram value. The candidates' distances are recomputed exactly
-  and ranked. A rank certificate (``_certificate_slack``) then accepts the
-  row only when its exact k-th squared distance lies strictly below that
-  excluded value minus a proven float32 error bound: every point tied with
-  the k-th neighbor is then a candidate, so the ranking is the exhaustive
-  one. Rows that fail the certificate (near-ties across the candidate
-  boundary) are recomputed in full and counted in
+* when k + CANDIDATE_PAD >= n - 1, every other point is a candidate
+  anyway: each row's full set of distances, then the ranking.
+* otherwise the rows are centred once and rounded to float32, and one
+  GEMM per query block gives approximate squared distances with the norms
+  folded into the operands. ``argpartition`` keeps k + CANDIDATE_PAD
+  candidates per row and reads the smallest excluded Gram value. The
+  candidates' distances are recomputed exactly and ranked. A rank
+  certificate (``_certificate_slack``) then accepts the row only when its
+  exact k-th squared distance lies strictly below that excluded value
+  minus a proven float32 error bound: every point tied with the k-th
+  neighbor is then a candidate, so the ranking is the exhaustive one. Rows
+  that fail the certificate (near-ties across the candidate boundary) are
+  recomputed in full, as in the first case, and counted in
   ``NeighborGraph.fallback_rows``.
 
 The Gram block and its ``argpartition`` are a worker's largest scratch,
-QUERY_BLOCK * n * 12 bytes. QUERY_BLOCK is a row count, not a byte budget:
-fewer rows cost CPU, because BLAS packs the whole n-row GEMM operand on
-every call. 128 rows keeps the kNN stage within noise of 512-row blocks at
-n=10,000 and within about 15% at n=5,000, at a quarter of the memory.
+QUERY_BLOCK * n * 12 bytes (full rows of distances and their ranking take
+QUERY_BLOCK * n * 24 bytes, with n <= k + CANDIDATE_PAD + 1). QUERY_BLOCK
+is a row count, not a byte budget: fewer rows cost CPU, because BLAS packs
+the whole n-row GEMM operand on every call. 128 rows keeps the kNN stage
+within noise of 512-row blocks at n=10,000 and within about 15% at
+n=5,000, at a quarter of the memory.
 
 Exact distances are computed in tiles of at most EXACT_TILE_BYTES of
 differences, over rows and candidates, so a row recomputed against every
@@ -46,7 +49,6 @@ import numpy as np
 from .errors import DataError, DuplicatePointsError
 from .io import EmbeddingMatrix
 
-DIRECT_PATH_MAX_N = 2048
 CANDIDATE_PAD = 16
 QUERY_BLOCK = 128
 EXACT_TILE_BYTES = 1 << 20
@@ -270,7 +272,6 @@ def _certificate_slack(g, sq_query, sq_max, d):
 def _block_preselect(X, ops, i0, i1, k):
     """Rows i0:i1 by certified preselection; also returns the number of
     rows recomputed in full."""
-    n, d = X.shape
     kp = k + CANDIDATE_PAD
     rows = np.arange(i1 - i0)
     gram = ops.query[i0:i1] @ ops.base
@@ -281,14 +282,11 @@ def _block_preselect(X, ops, i0, i1, k):
     del gram, part  # free the block x n arrays before the recompute
     nbr, nbd = _rank_candidates(_exact_block(X, i0, i1, cand), cand, k)
 
-    slack = _certificate_slack(excluded, ops.sq[i0:i1], ops.sq_max, d)
+    slack = _certificate_slack(excluded, ops.sq[i0:i1], ops.sq_max, X.shape[1])
     kth = ops.scale * nbd[:, k - 1]
     failed = np.flatnonzero(~(kth * kth < excluded - slack))
-    everyone = np.arange(n, dtype=np.int64)[None, :]
     for r in failed:
-        row_dist = _exact_block(X, i0 + r, i0 + r + 1, everyone)
-        row_dist[0, i0 + r] = np.inf
-        nbr[r], nbd[r] = _rank_candidates(row_dist, everyone, k)
+        nbr[r], nbd[r] = _block_direct(X, i0 + r, i0 + r + 1, k)
     return nbr, nbd, failed.size
 
 
@@ -328,8 +326,6 @@ def build_knn_graph(
 def _compute_graph(X, k, workers):
     """Neighbors, distances and the number of rows recomputed in full."""
     n = X.shape[0]
-    if n <= DIRECT_PATH_MAX_N:
-        return (*_block_direct(X, 0, n, k), 0)
     neighbors = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k))
     # with k + pad >= n - 1 every other point is a candidate anyway

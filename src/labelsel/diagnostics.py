@@ -74,16 +74,21 @@ class SyntheticSpec:
             raise DataError("ring layout needs at least 2 dimensions")
 
 
+def _centers(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
+    """Mode centers; the random layout draws them first from ``rng``."""
+    if spec.layout == "random_centers":
+        return rng.uniform(-spec.radius, spec.radius, size=(spec.modes, spec.dim))
+    centers = np.zeros((spec.modes, spec.dim))
+    angles = 2.0 * np.pi * np.arange(spec.modes) / spec.modes
+    centers[:, 0] = spec.radius * np.cos(angles)
+    centers[:, 1] = spec.radius * np.sin(angles)
+    return centers
+
+
 def generate_synthetic(spec: SyntheticSpec):
     """Sample the mixture; labels are mode ids, mode-major order."""
     rng = np.random.default_rng(spec.seed)
-    centers = np.zeros((spec.modes, spec.dim))
-    if spec.layout == "ring":
-        angles = 2.0 * np.pi * np.arange(spec.modes) / spec.modes
-        centers[:, 0] = spec.radius * np.cos(angles)
-        centers[:, 1] = spec.radius * np.sin(angles)
-    else:
-        centers = rng.uniform(-spec.radius, spec.radius, size=(spec.modes, spec.dim))
+    centers = _centers(spec, rng)
     labels = np.repeat(np.arange(spec.modes, dtype=np.int64), spec.per_mode)
     points = centers[labels] + rng.normal(0.0, spec.sigma, size=(labels.size, spec.dim))
     matrix = EmbeddingMatrix(data=points, normalized=False)
@@ -94,16 +99,7 @@ def generate_synthetic(spec: SyntheticSpec):
 
 def mode_centers(spec: SyntheticSpec) -> np.ndarray:
     """The exact mode centers the generator used (for oracle checks)."""
-    centers = np.zeros((spec.modes, spec.dim))
-    if spec.layout == "ring":
-        angles = 2.0 * np.pi * np.arange(spec.modes) / spec.modes
-        centers[:, 0] = spec.radius * np.cos(angles)
-        centers[:, 1] = spec.radius * np.sin(angles)
-    else:
-        centers = np.random.default_rng(spec.seed).uniform(
-            -spec.radius, spec.radius, size=(spec.modes, spec.dim)
-        )
-    return centers
+    return _centers(spec, np.random.default_rng(spec.seed))
 
 
 def _average_rank_percentile(values: np.ndarray) -> np.ndarray:

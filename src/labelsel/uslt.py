@@ -183,6 +183,19 @@ def _chain_to_centroids(W: np.ndarray, X: np.ndarray, centroids: np.ndarray, met
     return 2.0 * (W.T @ X - W.sum(axis=0)[:, None] * centroids)
 
 
+def _frozen_logits(X, centroids, metric):
+    """X as a float64 batch and its logits against fixed centroids; the
+    uniform EMA of the state they go through does not enter the logits."""
+    clusters = centroids.shape[0]
+    state = UsltState(centroids=centroids, running_mean=np.full(clusters, 1.0 / clusters))
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    return X, similarities(X, state, metric)
+
+
+def _global_per_sample(z, lse, hard) -> np.ndarray:
+    return lse - z[np.arange(z.shape[0]), hard]
+
+
 def _global_from_logits(X, z, soft, lse, centroids, tau, metric) -> GlobalLossResult:
     """Global term from the batch logits ``z``, their softmax and their
     logsumexp, each computed once by the caller."""
@@ -190,7 +203,7 @@ def _global_from_logits(X, z, soft, lse, centroids, tau, metric) -> GlobalLossRe
     rows = np.arange(n)
     hard = np.argmax(z, axis=1)
     mask = soft.max(axis=1) >= tau
-    per_sample = lse - z[rows, hard]
+    per_sample = _global_per_sample(z, lse, hard)
     loss = float(per_sample[mask].sum() / n)
     W = soft.copy()
     W[rows, hard] -= 1.0
@@ -233,12 +246,9 @@ def global_loss_value(
 ) -> float:
     """Global objective with frozen pseudo-labels and filter mask (the
     function the analytic gradient differentiates)."""
-    state = UsltState(centroids=centroids, running_mean=np.full(centroids.shape[0], 1.0 / centroids.shape[0]))
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    n = X.shape[0]
-    z = similarities(X, state, metric)
-    per_sample = logsumexp(z, axis=1) - z[np.arange(n), hard_labels]
-    return float(per_sample[confident_mask].sum() / n)
+    X, z = _frozen_logits(X, centroids, metric)
+    per_sample = _global_per_sample(z, logsumexp(z, axis=1), hard_labels)
+    return float(per_sample[confident_mask].sum() / X.shape[0])
 
 
 def kmeans_equivalence_decomposition(
@@ -361,9 +371,7 @@ def local_loss_value(
     X: np.ndarray, centroids: np.ndarray, targets: np.ndarray, metric: str = "dot"
 ) -> float:
     """Local objective with frozen targets (for finite differences)."""
-    state = UsltState(centroids=centroids, running_mean=np.full(centroids.shape[0], 1.0 / centroids.shape[0]))
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    z = similarities(X, state, metric)
+    X, z = _frozen_logits(X, centroids, metric)
     per_sample = _local_per_sample(z, logsumexp(z, axis=1), targets)
     return float(per_sample.sum() / X.shape[0])
 

@@ -123,14 +123,13 @@ class TestBuildKnnGraph:
 
 
 class TestPreselectPath:
-    """The n > DIRECT_PATH_MAX_N path: float32 preselection, exact recompute
-    of the candidates and the rank certificate. Small inputs reach it by
-    lowering the threshold and the query block."""
+    """The k + CANDIDATE_PAD < n - 1 path: float32 preselection, exact
+    recompute of the candidates and the rank certificate. Small inputs run
+    it in several query blocks by lowering the block."""
 
     @staticmethod
     def preselect(X, k):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(density, "DIRECT_PATH_MAX_N", 8)
             mp.setattr(density, "QUERY_BLOCK", 64)
             return graph_from(X, k)
 
@@ -138,7 +137,7 @@ class TestPreselectPath:
         # an uncentred float32 Gram cancels ~1e6 against unit-scale gaps
         rng = np.random.default_rng(0)
         X = 1000.0 + rng.standard_normal((2500, 8))
-        assert X.shape[0] > density.DIRECT_PATH_MAX_N
+        assert 20 + density.CANDIDATE_PAD < X.shape[0] - 1
         g = graph_from(X, 20)
         nbr, dist = brute_force_graph(X, 20)
         np.testing.assert_array_equal(g.neighbors, nbr)
@@ -163,6 +162,10 @@ class TestPreselectPath:
     def test_direct_path_reports_no_fallback(self):
         rng = np.random.default_rng(13)
         assert graph_from(rng.standard_normal((40, 3)), 5).fallback_rows == 0
+        # k + pad >= n - 1: every other point is a candidate, nothing to certify
+        X = rng.standard_normal((30, 3))
+        assert 20 + density.CANDIDATE_PAD >= X.shape[0] - 1
+        assert graph_from(X, 20).fallback_rows == 0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -212,7 +215,6 @@ class TestBlockAndThreadInvariance:
     @staticmethod
     def graph(X, k, threads, block, tile=None):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(density, "DIRECT_PATH_MAX_N", 8)
             mp.setattr(density, "QUERY_BLOCK", block)
             if tile is not None:
                 mp.setattr(density, "EXACT_TILE_BYTES", tile)
@@ -292,6 +294,12 @@ class TestScratchMemory:
         rng = np.random.default_rng(0)
         m = EmbeddingMatrix(data=rng.standard_normal((5000, 64)))
         assert traced_peak(build_knn_graph, m, 20, threads=2) < 32e6
+
+    def test_small_input_scratch(self):
+        # one n x n direct block peaked at 101.5 MB here
+        rng = np.random.default_rng(2)
+        m = EmbeddingMatrix(data=rng.standard_normal((2048, 2)))
+        assert traced_peak(build_knn_graph, m, 20, threads=1) < 16e6
 
     def test_exact_tile_bounded_for_a_row_against_every_point(self, monkeypatch):
         tile = 64 << 10

@@ -170,8 +170,9 @@ class TestGenerateSynthetic:
         assert m.n == 1000
         assert np.bincount(y.labels).tolist() == [100] * 10
 
-    def test_mode_means_near_centers(self):
-        spec = SyntheticSpec(modes=6, per_mode=200, dim=2, sigma=0.5, seed=2)
+    @pytest.mark.parametrize("layout", ["ring", "random_centers"])
+    def test_mode_means_near_centers(self, layout):
+        spec = SyntheticSpec(modes=6, per_mode=200, dim=2, sigma=0.5, seed=2, layout=layout)
         m, y = generate_synthetic(spec)
         from labelsel.diagnostics import mode_centers
 

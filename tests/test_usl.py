@@ -7,9 +7,12 @@ from hypothesis import given, settings, strategies as st
 from labelsel import (
     DataError,
     EmbeddingMatrix,
+    EmptyClusterError,
+    OptimizerConfig,
     SelectionFile,
     SyntheticSpec,
     UslParams,
+    UsltParams,
     build_knn_graph,
     generate_synthetic,
     kmeans_fit,
@@ -17,6 +20,7 @@ from labelsel import (
     regularize_utilities,
     repick_per_cluster,
     select_usl,
+    select_uslt,
     utility_scores,
 )
 from labelsel import density, usl
@@ -254,14 +258,48 @@ class TestSelectUsl:
     def test_knn_fallback_rows_traced_without_changing_picks(self, monkeypatch):
         m = l2_normalize(EmbeddingMatrix(data=sign_lattice()))
         params = UslParams(k=10, iterations=2, seed=0)
-        direct = select_usl(m, 6, params)
+        with monkeypatch.context() as mp:
+            # every other point a candidate: no row to certify
+            mp.setattr(density, "CANDIDATE_PAD", m.n)
+            direct = select_usl(m, 6, params)
         assert direct.trace["knn_fallback_rows"] == 0
-        monkeypatch.setattr(density, "DIRECT_PATH_MAX_N", 8)
         preselect = select_usl(m, 6, params)
         fallback = build_knn_graph(m, 10).fallback_rows
         assert fallback > 0
         assert preselect.trace["knn_fallback_rows"] == fallback
         np.testing.assert_array_equal(preselect.indices, direct.indices)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(20, 400),
+        d=st.integers(2, 8),
+        k_frac=st.floats(0.0, 1.0),
+        budget_frac=st.floats(0.0, 1.0),
+    )
+    def test_selections_independent_of_threads(self, seed, n, d, k_frac, budget_frac):
+        # every input runs the kNN graph's threaded query-block loop
+        rng = np.random.default_rng(seed)
+        m = l2_normalize(EmbeddingMatrix(data=rng.standard_normal((n, d))))
+        k = 1 + int(k_frac * (n - 2))
+        budget = 1 + int(budget_frac * (min(n // 4, 40) - 1))
+        usl_params = UslParams(k=k, iterations=2, seed=seed % 1000)
+        uslt_params = UsltParams(neighbor_k=k)
+        optimizer = OptimizerConfig(steps=15, batch_size=64, seed=seed % 1000)
+
+        def run(threads):
+            u = select_usl(m, budget, usl_params, threads=threads)
+            history = b"".join(a.tobytes() for pair in u.history for a in pair)
+            try:
+                t = select_uslt(m, budget, uslt_params, optimizer, threads=threads)
+            except EmptyClusterError as e:  # a shortfall is an outcome too
+                return u.indices.tobytes(), history, repr(e)
+            loss = np.array(t.trace["loss_history"]).tobytes()
+            return u.indices.tobytes(), history, t.indices.tobytes(), loss
+
+        ref = run(1)
+        for threads in (2, 3):
+            assert run(threads) == ref, threads
 
     def test_budget_equals_n(self):
         m, _ = ring_matrix(4, modes=3, per_mode=4)

@@ -491,8 +491,11 @@ class TestFitAndSelect:
         m = l2_normalize(EmbeddingMatrix(data=sign_lattice()))
         params = UsltParams(neighbor_k=10)
         optimizer = OptimizerConfig(steps=30, batch_size=60, seed=3)
-        direct = select_uslt(m, 6, params, optimizer)
-        monkeypatch.setattr(density, "DIRECT_PATH_MAX_N", 8)
+        with monkeypatch.context() as mp:
+            # every other point a candidate: no row to certify
+            mp.setattr(density, "CANDIDATE_PAD", m.n)
+            direct = select_uslt(m, 6, params, optimizer)
+        assert direct.trace["knn_fallback_rows"] == 0
         preselect = select_uslt(m, 6, params, optimizer)
         fallback = build_knn_graph(m, 10).fallback_rows
         assert fallback > 0
