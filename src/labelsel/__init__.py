@@ -17,6 +17,7 @@ from .density import (
     UtilityScores,
     build_knn_graph,
     knn_density,
+    knn_utility_scores,
     mean_knn_distance,
     utility_scores,
 )
@@ -103,6 +104,7 @@ __all__ = [
     "kmeans_equivalence_decomposition",
     "kmeans_fit",
     "knn_density",
+    "knn_utility_scores",
     "l2_normalize",
     "load_embeddings",
     "load_labels",

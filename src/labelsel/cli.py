@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, diagnostics
-from .density import build_knn_graph, utility_scores
+from .density import knn_utility_scores
 from .errors import DataError, LabelselError, NumericalError
 from .io import (
     l2_normalize,
@@ -270,8 +270,7 @@ def cmd_report(args) -> int:
             f"label file covers {labels.n} instances but matrix has {matrix.n}"
         )
     k = args.k if args.k is not None else min(400, matrix.n - 1)
-    graph = build_knn_graph(matrix, k, threads=args.threads)
-    util = utility_scores(graph)
+    util = knn_utility_scores(matrix, k, threads=args.threads)
     named = []
     for item in args.selection:
         name, _, path = item.rpartition("=")

@@ -1,10 +1,13 @@
-"""Exact k-nearest-neighbor graphs and kNN density / utility scores.
+"""Exact k-nearest-neighbor rows, as a graph or as kNN density / utility
+scores.
 
-The graph is exact under Euclidean distance with ties broken by lower
+The rows are exact under Euclidean distance with ties broken by lower
 index. Every reported distance is computed in float64 from coordinate
 differences, the reference-precision formulation (no cancellation), and
-rows are ranked by (distance, index). Every input goes through one loop
-over query blocks of QUERY_BLOCK rows:
+rows are ranked by (distance, index): the default sort ranks them, and
+rows with an exact tie among their first k + 1 distances are sorted again
+stably. Every input goes through one loop over query blocks of
+QUERY_BLOCK rows, which hands each block's ranked rows to a sink:
 
 * when k + CANDIDATE_PAD >= n - 1, every other point is a candidate
   anyway: each row's full set of distances, then the ranking.
@@ -20,6 +23,11 @@ over query blocks of QUERY_BLOCK rows:
   that fail the certificate (near-ties across the candidate boundary) are
   recomputed in full, as in the first case, and counted in
   ``NeighborGraph.fallback_rows``.
+
+``build_knn_graph``'s sink stores the rows in an n x k graph (16 bytes per
+entry), which USL-T needs for its neighbor ids. ``knn_utility_scores``'s
+sink checks each block's rows as NeighborGraph does and reduces them to
+their mean distance, so USL and the report hold no n x k array.
 
 The Gram block and its ``argpartition`` are a worker's largest scratch,
 QUERY_BLOCK * n * 12 bytes (full rows of distances and their ranking take
@@ -100,18 +108,14 @@ class NeighborGraph:
     fallback_rows: int = 0
 
     def __post_init__(self):
-        neighbors = np.asarray(self.neighbors, dtype=np.int64)
-        distances = np.asarray(self.distances, dtype=np.float64)
+        # freeze views: the caller's own arrays stay writeable
+        neighbors = np.asarray(self.neighbors, dtype=np.int64).view()
+        distances = np.asarray(self.distances, dtype=np.float64).view()
         if neighbors.shape != distances.shape or neighbors.ndim != 2:
             raise DataError("neighbors and distances must be equal-shape 2-D arrays")
         if neighbors.shape[1] != self.k:
             raise DataError(f"graph claims k={self.k} but rows have {neighbors.shape[1]} entries")
-        if (neighbors == np.arange(neighbors.shape[0])[:, None]).any():
-            raise DataError("self-index present in neighbor rows")
-        if (distances[:, 1:] < distances[:, :-1]).any():
-            raise DataError("neighbor distances must be non-decreasing per row")
-        if distances.size and distances.min() < 0:
-            raise DataError("negative neighbor distance")
+        _check_rows(neighbors, distances)
         for a in (neighbors, distances):
             a.flags.writeable = False
         object.__setattr__(self, "neighbors", neighbors)
@@ -122,16 +126,33 @@ class NeighborGraph:
         return self.neighbors.shape[0]
 
 
+def _check_rows(neighbors: np.ndarray, distances: np.ndarray, offset: int = 0) -> None:
+    """Row checks of a graph whose first row is instance ``offset``: no
+    self-index, non-decreasing distances, none negative."""
+    if (neighbors == np.arange(offset, offset + neighbors.shape[0])[:, None]).any():
+        raise DataError("self-index present in neighbor rows")
+    if (distances[:, 1:] < distances[:, :-1]).any():
+        raise DataError("neighbor distances must be non-decreasing per row")
+    if distances.size and distances.min() < 0:
+        raise DataError("negative neighbor distance")
+
+
 @dataclass(frozen=True)
 class UtilityScores:
-    """Mean distance to the k nearest neighbors and its reciprocal."""
+    """Mean distance to the k nearest neighbors and its reciprocal.
+
+    ``fallback_rows`` counts the kNN rows recomputed in full (trace only).
+    """
 
     mean_knn_distance: np.ndarray
     utility: np.ndarray
+    fallback_rows: int = 0
 
     def __post_init__(self):
-        for a in (self.mean_knn_distance, self.utility):
-            np.asarray(a).flags.writeable = False
+        for name in ("mean_knn_distance", "utility"):
+            a = np.asarray(getattr(self, name)).view()
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
 def _exact_block(X: np.ndarray, i0: int, i1: int, cand: np.ndarray) -> np.ndarray:
@@ -164,12 +185,20 @@ def _exact_block(X: np.ndarray, i0: int, i1: int, cand: np.ndarray) -> np.ndarra
 
 
 def _rank_candidates(dist, cand, k):
-    """(distance, then index) ranking of ascending candidate rows: a stable
-    sort by distance keeps equal distances in index order. Returns the k
-    best per row."""
-    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    """(distance, then index) ranking of ascending candidate rows; returns
+    the k best per row. The default (unstable) sort ranks every row; rows
+    with an exact tie among their first k + 1 sorted distances are sorted
+    again stably, which keeps equal distances in index order. Any other row
+    has k distinct leading distances, all below the rest, so both sorts
+    agree on it."""
     rows = np.arange(dist.shape[0])[:, None]
-    return cand[rows, order], dist[rows, order]
+    order = np.argsort(dist, axis=1)
+    head = dist[rows, order[:, : k + 1]]
+    tied = np.flatnonzero((head[:, 1:] == head[:, :-1]).any(axis=1))
+    if tied.size:
+        order[tied] = np.argsort(dist[tied], axis=1, kind="stable")
+    # the sorted values do not depend on the order of ties
+    return cand[rows, order[:, :k]], np.ascontiguousarray(head[:, :k])
 
 
 def _block_direct(X, i0, i1, k):
@@ -290,6 +319,59 @@ def _block_preselect(X, ops, i0, i1, k):
     return nbr, nbd, failed.size
 
 
+def _walk_blocks(X, k, workers, sink) -> int:
+    """Pass each query block's ranked rows to ``sink(i0, neighbors,
+    distances)``, i0 the block's first row, and return the number of rows
+    recomputed in full. Blocks cover disjoint rows, so a sink may write
+    into shared per-row arrays from any worker."""
+    n = X.shape[0]
+    # with k + pad >= n - 1 every other point is a candidate anyway
+    ops = _GramOperands.of(X) if k + CANDIDATE_PAD < n - 1 else None
+
+    def run(i0):
+        i1 = min(i0 + QUERY_BLOCK, n)
+        if ops is None:
+            nbr, nbd, fallback = (*_block_direct(X, i0, i1, k), 0)
+        else:
+            nbr, nbd, fallback = _block_preselect(X, ops, i0, i1, k)
+        sink(i0, nbr, nbd)
+        return fallback
+
+    starts = range(0, n, QUERY_BLOCK)
+    if workers > 1 and n > QUERY_BLOCK:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return int(sum(pool.map(run, starts)))
+    return int(sum(map(run, starts)))
+
+
+def _check_k(n: int, k: int) -> None:
+    if not 1 <= k <= n - 1:
+        raise DataError(f"k must be in [1, n-1] = [1, {n - 1}], got {k}")
+
+
+def _stream_rows(m, k, threads, sink, jitter=False, seed=0) -> int:
+    """Pass every query block of ``m``'s exact k-NN rows to ``sink``, with
+    build_knn_graph's duplicate check and jitter retry; returns the number
+    of rows recomputed in full."""
+    X = m.data
+    nearest = np.empty(m.n)
+
+    def checked(i0, nbr, nbd):
+        nearest[i0 : i0 + nbd.shape[0]] = nbd[:, 0]
+        sink(i0, nbr, nbd)
+
+    for attempt in range(2):
+        fallback = _walk_blocks(X, k, resolve_threads(threads), checked)
+        dup = np.flatnonzero(nearest == 0.0)
+        if dup.size == 0:
+            return fallback
+        if not jitter or attempt == 1:
+            raise DuplicatePointsError(dup.tolist())
+        rng = np.random.default_rng(seed)
+        X = m.data + rng.uniform(-JITTER_SCALE, JITTER_SCALE, size=m.data.shape)
+    raise AssertionError("unreachable")
+
+
 def build_knn_graph(
     m: EmbeddingMatrix,
     k: int,
@@ -305,49 +387,35 @@ def build_knn_graph(
     are perturbed once by seeded uniform noise at 1e-12 scale and the graph
     rebuilt; silent infinite utility must never reach selection.
     """
-    n = m.n
-    if not 1 <= k <= n - 1:
-        raise DataError(f"k must be in [1, n-1] = [1, {n - 1}], got {k}")
-    X = m.data
-    for attempt in range(2):
-        neighbors, distances, fallback = _compute_graph(X, k, resolve_threads(threads))
-        dup = np.flatnonzero(distances[:, 0] == 0.0)
-        if dup.size == 0:
-            return NeighborGraph(
-                k=k, neighbors=neighbors, distances=distances, fallback_rows=fallback
-            )
-        if not jitter or attempt == 1:
-            raise DuplicatePointsError(dup.tolist())
-        rng = np.random.default_rng(seed)
-        X = m.data + rng.uniform(-JITTER_SCALE, JITTER_SCALE, size=m.data.shape)
-    raise AssertionError("unreachable")
+    _check_k(m.n, k)
+    neighbors = np.empty((m.n, k), dtype=np.int64)
+    distances = np.empty((m.n, k))
+
+    def store(i0, nbr, nbd):
+        neighbors[i0 : i0 + nbr.shape[0]] = nbr
+        distances[i0 : i0 + nbd.shape[0]] = nbd
+
+    fallback = _stream_rows(m, k, threads, store, jitter, seed)
+    return NeighborGraph(k=k, neighbors=neighbors, distances=distances, fallback_rows=fallback)
 
 
-def _compute_graph(X, k, workers):
-    """Neighbors, distances and the number of rows recomputed in full."""
-    n = X.shape[0]
-    neighbors = np.empty((n, k), dtype=np.int64)
-    distances = np.empty((n, k))
-    # with k + pad >= n - 1 every other point is a candidate anyway
-    ops = _GramOperands.of(X) if k + CANDIDATE_PAD < n - 1 else None
+def knn_utility_scores(m: EmbeddingMatrix, k: int, *, threads: int | None = None) -> UtilityScores:
+    """``utility_scores(build_knn_graph(m, k, threads=threads))``, byte for
+    byte, without the n x k graph.
 
-    def run(i0):
-        i1 = min(i0 + QUERY_BLOCK, n)
-        if ops is None:
-            nbr, nbd, fallback = (*_block_direct(X, i0, i1, k), 0)
-        else:
-            nbr, nbd, fallback = _block_preselect(X, ops, i0, i1, k)
-        neighbors[i0:i1] = nbr
-        distances[i0:i1] = nbd
-        return fallback
+    Each query block's rows get NeighborGraph's row checks, are reduced to
+    their mean distance and dropped, so only two length-n arrays outlive a
+    block. Raises the same errors as the graph path.
+    """
+    _check_k(m.n, k)
+    mean = np.empty(m.n)
 
-    starts = range(0, n, QUERY_BLOCK)
-    if workers > 1 and n > QUERY_BLOCK:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fallback = sum(pool.map(run, starts))
-    else:
-        fallback = sum(map(run, starts))
-    return neighbors, distances, int(fallback)
+    def reduce(i0, nbr, nbd):
+        _check_rows(nbr, nbd, i0)
+        mean[i0 : i0 + nbd.shape[0]] = nbd.mean(axis=1)
+
+    fallback = _stream_rows(m, k, threads, reduce)
+    return UtilityScores(mean_knn_distance=mean, utility=1.0 / mean, fallback_rows=fallback)
 
 
 def mean_knn_distance(g: NeighborGraph) -> np.ndarray:
@@ -386,4 +454,6 @@ def utility_scores(g: NeighborGraph) -> UtilityScores:
     zero = np.flatnonzero(mean == 0.0)
     if zero.size:
         raise DuplicatePointsError(zero.tolist())
-    return UtilityScores(mean_knn_distance=mean, utility=1.0 / mean)
+    return UtilityScores(
+        mean_knn_distance=mean, utility=1.0 / mean, fallback_rows=g.fallback_rows
+    )

@@ -27,7 +27,8 @@ UNIT_NORM_TOL = 1e-5
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    # freeze a view: the caller's own array stays writeable
+    a = np.ascontiguousarray(a).view()
     a.flags.writeable = False
     return a
 

@@ -38,8 +38,9 @@ class Clustering:
     generator: str = GENERATOR_NAME
 
     def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=np.int64)
-        c = np.asarray(self.centroids, dtype=np.float64)
+        # freeze views: the caller's own arrays stay writeable
+        a = np.asarray(self.assignment, dtype=np.int64).view()
+        c = np.asarray(self.centroids, dtype=np.float64).view()
         if c.shape[0] != self.num_clusters:
             raise DataError("centroid count does not match num_clusters")
         if a.min() < 0 or a.max() >= self.num_clusters:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .density import _row_blocks, build_knn_graph, utility_scores, UtilityScores
+from .density import _row_blocks, knn_utility_scores, UtilityScores
 from .errors import DataError, EmptyClusterError
 from .io import EmbeddingMatrix
 from .kmeans import Clustering, _centred_sq_dists, kmeans_fit
@@ -92,8 +92,9 @@ class SelectionResult:
     trace: dict | None = None
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        clu = np.asarray(self.cluster_of, dtype=np.int64)
+        # freeze views: the caller's own arrays stay writeable
+        idx = np.asarray(self.indices, dtype=np.int64).view()
+        clu = np.asarray(self.cluster_of, dtype=np.int64).view()
         if idx.shape != clu.shape:
             raise DataError("indices and cluster_of must have equal length")
         if np.unique(idx).size != idx.size:
@@ -248,8 +249,7 @@ def select_usl(
     if not matrix.normalized:
         raise DataError("embeddings must be L2-normalized before selection")
 
-    graph = build_knn_graph(matrix, params.k, threads=threads)
-    util = utility_scores(graph)
+    util = knn_utility_scores(matrix, params.k, threads=threads)
     clustering = kmeans_fit(matrix, budget, seed=params.seed)
 
     selected = repick_per_cluster(util.utility, clustering)
@@ -266,7 +266,7 @@ def select_usl(
         "kmeans_objective": float(clustering.objective),
         "kmeans_iterations": int(clustering.iterations_run),
         "generator": clustering.generator,
-        "knn_fallback_rows": graph.fallback_rows,
+        "knn_fallback_rows": util.fallback_rows,
         "utility_summary": {
             "selected_mean": float(util.utility[selected].mean()),
             "selected_min": float(util.utility[selected].min()),

@@ -87,8 +87,9 @@ class UsltState:
     step: int = 0
 
     def __post_init__(self):
-        c = np.asarray(self.centroids, dtype=np.float64)
-        r = np.asarray(self.running_mean, dtype=np.float64)
+        # freeze views: the caller's own arrays stay writeable
+        c = np.asarray(self.centroids, dtype=np.float64).view()
+        r = np.asarray(self.running_mean, dtype=np.float64).view()
         if c.ndim != 2:
             raise DataError("centroids must be a C x d array")
         if r.shape != (c.shape[0],):
@@ -141,8 +142,13 @@ def similarities(x: np.ndarray, state: UsltState, metric: str = "dot") -> np.nda
         raise DataError(f"feature dim {x.shape[-1]} does not match centroid dim {c.shape[1]}")
     if metric == "dot":
         return x @ c.T
-    diff = x[..., None, :] - c
-    return -np.einsum("...kd,...kd->...k", diff, diff)
+    # one row block of the rows x C x d differences at a time
+    rows = x.reshape(-1, c.shape[1])
+    z = np.empty((rows.shape[0], c.shape[0]))
+    for block in _row_blocks(rows.shape[0], 8 * c.size):
+        diff = rows[block, None, :] - c
+        z[block] = -np.einsum("bkd,bkd->bk", diff, diff)
+    return z.reshape(x.shape[:-1] + (c.shape[0],))
 
 
 def assign(x: np.ndarray, state: UsltState, metric: str = "dot") -> AssignmentPair:
@@ -158,11 +164,8 @@ def assign(x: np.ndarray, state: UsltState, metric: str = "dot") -> AssignmentPa
 
 
 def _logit_blocks(X: np.ndarray, state: UsltState, metric: str):
-    """(rows, logits of X[rows]) for each of the ``_row_blocks`` of X, sized
-    by the logits, or by the differences for neg_sq_euclidean."""
-    clusters, d = state.centroids.shape
-    row_bytes = 8 * clusters * (d if metric == "neg_sq_euclidean" else 1)
-    for rows in _row_blocks(X.shape[0], row_bytes):
+    """(rows, logits of X[rows]) for each of the ``_row_blocks`` of X."""
+    for rows in _row_blocks(X.shape[0], 8 * state.num_clusters):
         yield rows, similarities(X[rows], state, metric)
 
 

@@ -12,17 +12,20 @@ from labelsel import (
     DuplicatePointsError,
     EmbeddingMatrix,
     NeighborGraph,
+    UslParams,
     build_knn_graph,
     knn_density,
+    knn_utility_scores,
     l2_normalize,
     mean_knn_distance,
+    select_usl,
     utility_scores,
 )
 
 
 from labelsel import density
 
-from helpers import brute_force_graph
+from helpers import brute_force_graph, sign_lattice
 
 
 def graph_from(X, k, **kw):
@@ -276,6 +279,137 @@ class TestBlockAndThreadInvariance:
         assert tiled.tobytes() == default.tobytes()
 
 
+class TestRankCandidates:
+    """Ranking by the default sort with a stable re-sort of tied rows is the
+    (distance, index) order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        b=st.integers(1, 12),
+        c=st.integers(1, 80),
+        levels=st.integers(1, 6),
+        k_frac=st.floats(0.0, 1.0),
+    )
+    def test_matches_sorted_oracle_on_ties(self, seed, b, c, levels, k_frac):
+        # few integer distance levels: most rows have exact ties, some at
+        # the k-th place
+        rng = np.random.default_rng(seed)
+        dist = rng.integers(0, levels, size=(b, c)).astype(np.float64)
+        cand = np.sort(
+            np.stack([rng.choice(10 * c, size=c, replace=False) for _ in range(b)]), axis=1
+        )
+        k = 1 + int(k_frac * (c - 1))
+        nbr, nbd = density._rank_candidates(dist, cand, k)
+        for r in range(b):
+            want = sorted(range(c), key=lambda j: (dist[r, j], cand[r, j]))[:k]
+            assert nbr[r].tolist() == cand[r, want].tolist()
+            assert nbd[r].tolist() == dist[r, want].tolist()
+
+
+class TestKnnUtilityScores:
+    """The streamed utilities are utility_scores of the full graph, byte for
+    byte, with the same fallback count and the same errors."""
+
+    @staticmethod
+    def both(X, k, threads=1, block=128):
+        m = EmbeddingMatrix(data=X)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(density, "QUERY_BLOCK", block)
+            return utility_scores(build_knn_graph(m, k, threads=threads)), knn_utility_scores(
+                m, k, threads=threads
+            )
+
+    def assert_same(self, X, k):
+        for threads, block in itertools.product((1, 2, 3), (7, 64, 128)):
+            ref, got = self.both(X, k, threads, block)
+            assert got.mean_knn_distance.tobytes() == ref.mean_knn_distance.tobytes()
+            assert got.utility.tobytes() == ref.utility.tobytes()
+            assert got.fallback_rows == ref.fallback_rows, (threads, block)
+        return got
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 200),
+        d=st.integers(1, 10),
+        k_frac=st.floats(0.0, 1.0),
+        offset=st.floats(-1e4, 1e4),
+        grid=st.booleans(),
+    )
+    def test_byte_identical_to_graph_path(self, seed, n, d, k_frac, offset, grid):
+        # k_frac spans both candidate branches: k + pad >= n - 1 and below
+        rng = np.random.default_rng(seed)
+        if grid:
+            X = np.unique(rng.integers(0, 4, size=(n, d)), axis=0).astype(np.float64)
+            assume(X.shape[0] >= 3)
+            X = X[rng.permutation(X.shape[0])]
+        else:
+            X = rng.standard_normal((n, d))
+        X += offset
+        self.assert_same(X, 1 + int(k_frac * (X.shape[0] - 2)))
+
+    @pytest.mark.parametrize(
+        "X, k",
+        [
+            (l2_normalize(EmbeddingMatrix(data=sign_lattice())).data, 10),
+            (lattice(3, 5), 11),
+        ],
+        ids=["sign-lattice", "lattice-3-5"],
+    )
+    def test_fallback_rows_counted(self, X, k):
+        assert self.assert_same(X, k).fallback_rows > 0
+
+    def test_direct_branch(self):
+        X = np.random.default_rng(14).standard_normal((30, 3))
+        assert 20 + density.CANDIDATE_PAD >= X.shape[0] - 1
+        assert self.assert_same(X, 20).fallback_rows == 0
+
+    @pytest.mark.parametrize("n", [3, 300])
+    def test_duplicates_raise_same_rows(self, n):
+        X = np.random.default_rng(15).standard_normal((n, 3))
+        X[n - 1] = X[0]
+        m = EmbeddingMatrix(data=X)
+        with pytest.raises(DuplicatePointsError) as graph_error:
+            build_knn_graph(m, 1)
+        with pytest.raises(DuplicatePointsError) as stream_error:
+            knn_utility_scores(m, 1)
+        assert stream_error.value.indices == graph_error.value.indices == [0, n - 1]
+
+    @pytest.mark.parametrize("k", [-1, 0, 3, 4])
+    def test_k_out_of_range(self, k):
+        m = EmbeddingMatrix(data=np.arange(6.0).reshape(3, 2))
+        with pytest.raises(DataError) as graph_error:
+            build_knn_graph(m, k)
+        with pytest.raises(DataError) as stream_error:
+            knn_utility_scores(m, k)
+        assert str(stream_error.value) == str(graph_error.value)
+
+    @pytest.mark.parametrize("message", ["self-index", "non-decreasing", "negative"])
+    def test_rows_get_graph_checks(self, monkeypatch, message):
+        # only the last query block is corrupted, so the check must use
+        # that block's row offset
+        X = np.random.default_rng(16).standard_normal((40, 3))
+        block = density._block_preselect
+
+        def corrupted(X, ops, i0, i1, k):
+            nbr, nbd, fallback = block(X, ops, i0, i1, k)
+            if i1 == X.shape[0]:
+                if message == "self-index":
+                    nbr[:, 0] = np.arange(i0, i1)
+                elif message == "non-decreasing":
+                    nbd[:] = nbd[:, ::-1].copy()
+                else:
+                    nbd.fill(-1.0)
+            return nbr, nbd, fallback
+
+        monkeypatch.setattr(density, "QUERY_BLOCK", 7)
+        monkeypatch.setattr(density, "_block_preselect", corrupted)
+        for fn in (build_knn_graph, knn_utility_scores):
+            with pytest.raises(DataError, match=message):
+                fn(EmbeddingMatrix(data=X), 3, threads=1)
+
+
 def traced_peak(fn, *args, **kwargs):
     tracemalloc.start()
     try:
@@ -300,6 +434,15 @@ class TestScratchMemory:
         rng = np.random.default_rng(2)
         m = EmbeddingMatrix(data=rng.standard_normal((2048, 2)))
         assert traced_peak(build_knn_graph, m, 20, threads=1) < 16e6
+
+    def test_utilities_hold_no_graph(self):
+        # the n x k neighbor ids and distances would take n * k * 16 bytes
+        n, k = 5000, 400
+        X = np.random.default_rng(3).standard_normal((n, 8))
+        m = l2_normalize(EmbeddingMatrix(data=X))
+        assert traced_peak(knn_utility_scores, m, k, threads=2) < n * k * 16
+        params = UslParams(k=k, iterations=2)
+        assert traced_peak(select_usl, m, 10, params, threads=2) < n * k * 16
 
     def test_exact_tile_bounded_for_a_row_against_every_point(self, monkeypatch):
         tile = 64 << 10

@@ -1,5 +1,5 @@
 """Stages that walk an n x m matrix in row blocks: k-means assignment,
-regularization, and the USL-T occupancy counts and final pick.
+regularization, and the USL-T step logits, occupancy counts and final pick.
 
 Their results must not depend on the block budget, and none of them may
 hold more than a block-sized share of the n x m matrix.
@@ -156,3 +156,38 @@ class TestPeakMemory:
         monkeypatch.setattr(uslt, "fit_centroids", lambda *args, **kwargs: fit)
         peak = self.peak(select_uslt, matrix, self.m, metric=metric)
         assert peak < self.limit
+
+
+class TestUsltStep:
+    """Each USL-T step's logits hold at most one row block of the batch x
+    clusters x d differences that neg_sq_euclidean needs."""
+
+    @staticmethod
+    def fit(matrix, clusters, metric, steps, batch_size):
+        opt = OptimizerConfig(steps=steps, batch_size=batch_size, seed=4, reseed_interval=2)
+        return fit_centroids(matrix, clusters, UsltParams(), opt, metric, threads=1)
+
+    def test_peak_memory_as_for_dot(self):
+        # 256 x 1,000 x 64 float64 differences are 131 MB per batch
+        rng = np.random.default_rng(5)
+        matrix = l2_normalize(EmbeddingMatrix(data=rng.standard_normal((5000, 64))))
+        peaks = {}
+        for metric in uslt.METRICS:
+            tracemalloc.start()
+            try:
+                self.fit(matrix, 1000, metric, steps=3, batch_size=256)
+                peaks[metric] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["neg_sq_euclidean"] < peaks["dot"] + 2 * density._ROW_BLOCK_BYTES
+
+    @pytest.mark.parametrize("metric", uslt.METRICS)
+    def test_fit_byte_identical_to_one_block(self, monkeypatch, metric):
+        # a batch of 200 x 200 x 16 differences (5 MB) spans three default blocks
+        matrix = mixture(8, 50, 16, seed=6)
+        blocked = self.fit(matrix, 200, metric, steps=8, batch_size=200)
+        monkeypatch.setattr(density, "_ROW_BLOCK_BYTES", 1 << 40)
+        whole = self.fit(matrix, 200, metric, steps=8, batch_size=200)
+        assert blocked.state.centroids.tobytes() == whole.state.centroids.tobytes()
+        assert blocked.state.running_mean.tobytes() == whole.state.running_mean.tobytes()
+        assert blocked.loss_history == whole.loss_history

@@ -301,6 +301,27 @@ class TestSelectUsl:
         for threads in (2, 3):
             assert run(threads) == ref, threads
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 150),
+        d=st.integers(2, 6),
+        k_frac=st.floats(0.0, 1.0),
+        budget_frac=st.floats(0.0, 1.0),
+    )
+    def test_picks_distinct_and_one_per_cluster(self, seed, n, d, k_frac, budget_frac):
+        rng = np.random.default_rng(seed)
+        m = l2_normalize(EmbeddingMatrix(data=rng.standard_normal((n, d))))
+        k = 1 + int(k_frac * (n - 2))
+        budget = 1 + int(budget_frac * (n - 1))
+        params = UslParams(k=k, iterations=2, seed=seed % 1000)
+        picks = select_usl(m, budget, params).indices
+        assert picks.size == budget
+        assert np.unique(picks).size == budget
+        assert 0 <= picks.min() and picks.max() < n
+        clustering = kmeans_fit(m, budget, seed=params.seed)
+        np.testing.assert_array_equal(clustering.assignment[picks], np.arange(budget))
+
     def test_budget_equals_n(self):
         m, _ = ring_matrix(4, modes=3, per_mode=4)
         params = UslParams(k=3, iterations=2, seed=0)

@@ -447,6 +447,29 @@ class TestFitAndSelect:
         with pytest.raises(EmptyClusterError, match="shortfall"):
             select_uslt(m, 2, UsltParams(neighbor_k=1), OptimizerConfig(steps=0, seed=0))
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 150),
+        d=st.integers(2, 6),
+        k_frac=st.floats(0.0, 1.0),
+        budget_frac=st.floats(0.0, 1.0),
+        metric=st.sampled_from(["dot", "neg_sq_euclidean"]),
+    )
+    def test_picks_distinct_or_shortfall(self, seed, n, d, k_frac, budget_frac, metric):
+        rng = np.random.default_rng(seed)
+        m = l2_normalize(EmbeddingMatrix(data=rng.standard_normal((n, d))))
+        budget = 1 + int(budget_frac * (n - 1))
+        params = UsltParams(neighbor_k=1 + int(k_frac * (n - 2)))
+        optimizer = OptimizerConfig(steps=10, batch_size=32, seed=seed % 1000)
+        try:
+            picks = select_uslt(m, budget, params, optimizer, metric).indices
+        except EmptyClusterError:
+            return
+        assert picks.size == budget
+        assert np.unique(picks).size == budget
+        assert 0 <= picks.min() and picks.max() < n
+
     @settings(max_examples=50, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
