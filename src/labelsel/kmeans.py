@@ -4,6 +4,15 @@ Deterministic by construction: seeded PCG64 generator (recorded in the
 result), ties in assignment broken toward the lower cluster id, empty
 clusters repaired by re-seeding to the farthest point of the largest
 cluster. The objective is the within-cluster sum of squares.
+
+Every assignment takes one path, at any n * C * d. A fit centres the rows
+on their mean once (``_CentredRows``); each row block of distances is then
+one centred Gram GEMM and one ``argmin``. Rows whose minimum is not
+certified unique and away from zero by a proven rounding slack
+(``_assign_slack``) recompute their near-minimum centroids from coordinate
+differences. Assignments are therefore those of a full difference pass,
+ties to the lower id included, and a point on its centroid reads distance
+0. The k-means++ seeding scores its trials on the same centred rows.
 """
 
 from __future__ import annotations
@@ -19,9 +28,6 @@ from .io import EmbeddingMatrix
 GENERATOR_NAME = "pcg64"
 DEFAULT_MAX_ITERS = 300
 DEFAULT_TOL = 1e-6
-
-# direct difference path below this n*C*d volume, Gram expansion above
-_DIRECT_ASSIGN_LIMIT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -67,41 +73,126 @@ def _as_data(m) -> np.ndarray:
     return m.data if isinstance(m, EmbeddingMatrix) else np.asarray(m, dtype=np.float64)
 
 
-def _assign_with_dist(X, C, xx=None):
+@dataclass(frozen=True)
+class _CentredRows:
+    """Rows ``X``, their mean ``mu``, the centred copy ``Xc = X - mu`` and its
+    squared row norms ``xx``. Distances are translation invariant, and the
+    centred copy keeps an offset from cancelling digits in a Gram expansion."""
+
+    X: np.ndarray
+    mu: np.ndarray
+    Xc: np.ndarray
+    xx: np.ndarray
+
+    @classmethod
+    def of(cls, X):
+        mu = X.mean(axis=0)
+        Xc = X - mu
+        return cls(X=X, mu=mu, Xc=Xc, xx=np.einsum("ij,ij->i", Xc, Xc))
+
+
+def _assign_slack(xx, cc_max, g1, d):
+    """Per-row bound ``s`` on how far the Gram distances of
+    ``_assign_with_dist`` can stray from the difference-based ones.
+
+    Notation: u = 2^-53 (float64 unit roundoff), a and b a row and a
+    centroid centred on the same float64 mean mu, x and c the uncentred
+    ones, D = ||x - c||^2 exactly, O = fl(sum_t fl(x_t - c_t)^2) the
+    difference-based value, A = xx (the row's computed ||a||^2), B = cc_max
+    (the largest computed ||b||^2) and P = ||a||^2 + ||b||^2. The bounds
+    below are first order in u. No float64 underflow or overflow is
+    assumed.
+
+    1. Centring. a_t = (x_t - mu_t)(1 + e), |e| <= u, and b_t likewise, so
+       ||(a - b) - (x - c)|| <= u (||a|| + ||b||) and |D - ||a - b||^2| <=
+       4 u P.
+    2. The Gram value H = fl(fl(a . (-2 b)) + cc) of one row and centroid:
+       the d-term dot product, in any order and with or without FMA, is off
+       by at most 2 d u ||a|| ||b|| <= d u P; cc = ||b||^2 within d u P; the
+       addition rounds once more, by at most 2 u P. Since ||b||^2 - 2 a.b +
+       ||a||^2 = ||a - b||^2, with 1: |H + ||a||^2 - D| <= E = (2 d + 6) u
+       (A + B), the same E for every centroid of the row.
+    3. The difference side. O = D (1 + r) with |r| <= delta = (d + 2) u:
+       the rounded difference enters squared, the square rounds once and
+       the sum d - 1 times.
+    4. The reported value g1 = fl(h1 + A), h1 the row's smallest H, is off
+       from h1 + ||a||^2 by at most u |g1| + d u A.
+
+    s = (3 d + 8) u (A + B + max(g1, 0)) exceeds E + delta (g1 + E) + u |g1|
+    + d u A by at least 2 u (A + B). That covers the rounding of the tests
+    below, at most 2 u P in h1 + 2 s, and, for any d below 10^7, the
+    second-order terms. So:
+
+    * Near-ties. A centroid j with H_j > h1 + 2 s has, by 2 and 3, O_j >=
+      (1 - delta)(H_j + ||a||^2 - E) > (1 + delta)(h1 + ||a||^2 + E) >=
+      O_n, n the Gram argmin: j is never a difference-based minimum.
+    * Coincidence. O_j = 0 only when x = c, so D = 0 and g1 <= s by 2 and
+      4: a row whose g1 exceeds 2 s has no coincident centroid.
+    * The value. |g1 - O_n| <= s by 2, 3 and 4.
+    """
+    return (3 * d + 8) * 2.0**-53 * (xx + cc_max + np.maximum(g1, 0.0))
+
+
+def _exact_nearest(x, C, h, limit):
+    """For each row of ``x`` with a Gram value in ``h`` at or below its
+    ``limit``: the row, its nearest centroid among those, by squared
+    distances recomputed from coordinate differences and ties to the lower
+    id, and that distance. The differences are gathered in blocks of at
+    most _ROW_BLOCK_BYTES, however many centroids tie."""
+    r, c = np.nonzero(h <= limit[:, None])
+    d2 = np.empty(r.size)
+    for part in _row_blocks(r.size, 8 * x.shape[1]):
+        diff = x[r[part]] - C[c[part]]
+        d2[part] = (diff * diff).sum(axis=1)
+    pick = np.lexsort((c, d2, r))[np.flatnonzero(np.diff(r, prepend=-1))]
+    return r[pick], c[pick], d2[pick]
+
+
+def _assign_with_dist(rows: _CentredRows, C):
     """Assignment plus each point's squared distance to its centroid.
 
-    The branch is chosen from the whole n * C * d volume; either way the
-    rows go through in ``_row_blocks``, so neither the n x C x d differences
-    nor the n x C distances are ever built whole.
+    Each row block takes one GEMM on the centred rows and centroids and one
+    ``argmin``. A row whose Gram minimum is not unique by more than 2 s, or
+    lies within 2 s of zero (s from ``_assign_slack``), recomputes its
+    near-minimum centroids from coordinate differences and takes their exact
+    minimum, ties to the lower id. The assignment is then the one a full
+    difference pass gives, a point that coincides with its centroid reads
+    exactly 0, and every other distance is within s of the difference-based
+    one. Neither the n x C x d differences nor the n x C distances are ever
+    built whole.
     """
+    X, Xc, xx = rows.X, rows.Xc, rows.xx
     n, d = X.shape
-    clusters = C.shape[0]
-    direct = n * clusters * d <= _DIRECT_ASSIGN_LIMIT
-    if not direct:
-        if xx is None:
-            xx = (X * X).sum(1)
-        cc = (C * C).sum(1)[None, :]
+    Cc = C - rows.mu
+    cc = np.einsum("ij,ij->i", Cc, Cc)
+    cc_max = float(cc.max())
+    Cc *= -2.0
     assignment = np.empty(n, dtype=np.int64)
     best = np.empty(n)
-    for rows in _row_blocks(n, 8 * clusters * (d if direct else 1)):
-        if direct:
-            d2 = ((X[rows, None, :] - C[None, :, :]) ** 2).sum(axis=2)
-        else:
-            d2 = X[rows] @ C.T
-            d2 *= -2.0
-            d2 += xx[rows, None]
-            d2 += cc
-        nearest = np.argmin(d2, axis=1)
-        assignment[rows] = nearest
-        best[rows] = d2[np.arange(nearest.size), nearest]
-    return assignment, np.maximum(best, 0.0, out=best)
+    for block in _row_blocks(n, 8 * C.shape[0]):
+        h = Xc[block] @ Cc.T
+        h += cc
+        nearest = np.argmin(h, axis=1)
+        r = np.arange(nearest.size)
+        h1 = h[r, nearest]
+        h[r, nearest] = np.inf
+        gap = h.min(axis=1) - h1
+        g1 = h1 + xx[block]
+        twice = 2.0 * _assign_slack(xx[block], cc_max, g1, d)
+        near = (gap <= twice) | (g1 <= twice)
+        if near.any():
+            h[r, nearest] = h1
+            limit = np.where(near, h1 + twice, -np.inf)
+            hit, nearest[hit], g1[hit] = _exact_nearest(X[block], C, h, limit)
+        assignment[block] = nearest
+        best[block] = g1
+    return assignment, best
 
 
 def assign_step(m, centroids: np.ndarray) -> np.ndarray:
     """Nearest-centroid assignment by squared distance, ties to lower id."""
-    X = _as_data(m)
-    C = np.asarray(centroids, dtype=np.float64)
-    return _assign_with_dist(X, C)[0]
+    rows = _CentredRows.of(_as_data(m))
+    return _assign_with_dist(rows, np.asarray(centroids, dtype=np.float64))[0]
 
 
 def update_step(m, assignment: np.ndarray, clusters: int):
@@ -173,8 +264,8 @@ def kmeanspp_init(X: np.ndarray, clusters: int, rng: np.random.Generator) -> np.
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     trials = 2 + int(np.log2(max(clusters, 2)))
-    Xc = X - X.mean(axis=0)  # distances are translation invariant
-    xx = np.einsum("ij,ij->i", Xc, Xc)
+    centred = _CentredRows.of(X)
+    Xc, xx = centred.Xc, centred.xx
 
     def sq_dists_from(rows):
         return _centred_sq_dists(X[rows], X, Xc[rows], Xc, xx[rows], xx)
@@ -247,9 +338,9 @@ def kmeans_fit(
     else:
         raise DataError(f"unknown init {init!r}")
 
-    xx = (X * X).sum(1)
+    rows = _CentredRows.of(X)
     XT = np.ascontiguousarray(X.T)
-    assignment, best = _assign_with_dist(X, centroids, xx)
+    assignment, best = _assign_with_dist(rows, centroids)
     prev = float(best.sum())
     history = [prev]
     iterations = 0
@@ -257,7 +348,7 @@ def kmeans_fit(
         centroids, empty = _update_from_columns(XT, assignment, clusters)
         if empty:
             centroids = _repair_empty(X, centroids, assignment, empty)
-        assignment, best = _assign_with_dist(X, centroids, xx)
+        assignment, best = _assign_with_dist(rows, centroids)
         obj = float(best.sum())
         iterations += 1
         history.append(obj)
@@ -270,7 +361,7 @@ def kmeans_fit(
     if (counts == 0).any():
         # one more repair round before giving up
         centroids = _repair_empty(X, centroids, assignment, np.flatnonzero(counts == 0).tolist())
-        assignment = assign_step(X, centroids)
+        assignment = _assign_with_dist(rows, centroids)[0]
         counts = np.bincount(assignment, minlength=clusters)
         if (counts == 0).any():
             raise EmptyClusterError(np.flatnonzero(counts == 0).tolist())

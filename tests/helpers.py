@@ -37,6 +37,18 @@ def horizon_oracle(dist_row, h):
     return sorted(range(len(dist_row)), key=lambda j: (dist_row[j], j))[:h]
 
 
+def nearest_centroid_oracle(X, C):
+    """Nearest centroid of each row from one full difference pass per row,
+    the first (lowest-id) minimum on ties, and its squared distance."""
+    assignment = np.empty(X.shape[0], dtype=np.int64)
+    d2 = np.empty(X.shape[0])
+    for i, x in enumerate(X):
+        row = ((x - C) ** 2).sum(axis=1)
+        assignment[i] = np.argmin(row)
+        d2[i] = row[assignment[i]]
+    return assignment, d2
+
+
 def reference_kmeanspp(X, clusters, rng):
     """Greedy k-means++ seeding scored one trial at a time: each candidate
     gets its own full difference pass and the first strictly lowest

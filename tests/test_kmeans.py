@@ -14,10 +14,11 @@ from labelsel import (
     kmeans_fit,
     update_step,
 )
+from labelsel import kmeans
 from labelsel.kmeans import kmeanspp_init, objective_value
 
 
-from helpers import best_partition_objective, reference_kmeanspp
+from helpers import best_partition_objective, nearest_centroid_oracle, reference_kmeanspp
 
 
 class TestDegenerateCases:
@@ -87,6 +88,91 @@ class TestSteps:
             after = objective_value(X, new_centroids, a2)
             assert mid <= before + 1e-10
             assert after <= mid + 1e-10
+
+
+def lattice(seed, n, clusters, d, offset):
+    """Half-integer lattice rows and centroids shifted by ``offset``: every
+    difference, square and sum is exact, so distances tie exactly and
+    centroids coincide with rows."""
+    rng = np.random.default_rng(seed)
+    X, C = (offset + 0.5 * rng.integers(-3, 4, size=(rows, d)) for rows in (n, clusters))
+    return X, C
+
+
+def assignment_faults(X, C, assignment, d2):
+    """Rows whose assignment leaves the difference oracle's, whose squared
+    distance strays from the oracle's by more than the proven slack, or
+    that read above 0 where the oracle reads 0."""
+    want, want_d2 = nearest_centroid_oracle(X, C)
+    rows = kmeans._CentredRows.of(X)
+    Cc = C - rows.mu
+    cc_max = float(np.einsum("ij,ij->i", Cc, Cc).max())
+    slack = kmeans._assign_slack(rows.xx, cc_max, d2, X.shape[1])
+    bad = (assignment != want) | (np.abs(d2 - want_d2) > slack) | ((want_d2 == 0) & (d2 != 0))
+    return np.flatnonzero(bad)
+
+
+def assign_with_dist(X, C):
+    return kmeans._assign_with_dist(kmeans._CentredRows.of(X), C)
+
+
+def plain_centred_gram(X, C):
+    """The centred Gram expansion without the near-tie recompute."""
+    mu = X.mean(axis=0)
+    Xc, Cc = X - mu, C - mu
+    d2 = np.einsum("ij,ij->i", Xc, Xc)[:, None] - 2.0 * Xc @ Cc.T
+    d2 += np.einsum("ij,ij->i", Cc, Cc)
+    nearest = np.argmin(d2, axis=1)
+    return nearest, np.maximum(d2[np.arange(nearest.size), nearest], 0.0)
+
+
+class TestExactAssignment:
+    """The assignment is the difference-based one at every n * C * d, and
+    its squared distances are within the proven slack of it."""
+
+    def test_offset_rows_match_difference_oracle(self):
+        # at a 1e5 offset an uncentred expansion loses most of the digits
+        # and puts points in the wrong cluster
+        rng = np.random.default_rng(0)
+        X = 1e5 + rng.standard_normal((20_000, 16))
+        groups = rng.integers(64, size=X.shape[0])
+        C = np.array([X[groups == j].mean(axis=0) for j in range(64)])
+        assignment, d2 = assign_with_dist(X, C)
+        assert assignment_faults(X, C, assignment, d2).size == 0
+        np.testing.assert_array_equal(assign_step(X, C), assignment)
+
+    def test_coincident_points_read_exactly_zero(self):
+        rng = np.random.default_rng(1)
+        X = 1e3 + rng.standard_normal((20_000, 16))
+        rows = rng.choice(X.shape[0], size=64, replace=False)
+        assignment, d2 = assign_with_dist(X, X[rows])
+        np.testing.assert_array_equal(assignment[rows], np.arange(64))
+        assert (d2[rows] == 0.0).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.sampled_from([0.0, 0.5, 1e3, 1e5]),
+        large=st.booleans(),
+        data=st.data(),
+    )
+    def test_lattice_matches_difference_oracle(self, seed, offset, large, data):
+        if large:  # n * C * d above 2^24, over several row blocks
+            n, clusters, d = 8_200, 64, 32
+        else:
+            n = data.draw(st.integers(2, 200))
+            clusters = data.draw(st.integers(1, 30))
+            d = data.draw(st.integers(1, 8))
+        X, C = lattice(seed, n, clusters, d, offset)
+        assignment, d2 = assign_with_dist(X, C)
+        assert assignment_faults(X, C, assignment, d2).size == 0
+        np.testing.assert_array_equal(assign_step(X, C), assignment)
+
+    def test_plain_centred_gram_breaks_lattice_ties(self):
+        # the property above has teeth: without the near-tie recompute, ties
+        # on lattice data go by rounding rather than to the lower id
+        cases = (lattice(seed, 150, 20, 5, 0.5) for seed in range(20))
+        assert any(assignment_faults(X, C, *plain_centred_gram(X, C)).size for X, C in cases)
 
 
 class TestInvariants:

@@ -62,8 +62,8 @@ class TestBlockBudgetInvariance:
     @pytest.mark.parametrize("rows", [2, 3, 7])
     @pytest.mark.parametrize("branch", ["direct", "gram"])
     def test_outputs_byte_identical_to_default_budget(self, monkeypatch, rows, branch):
+        # the branch is regularization's; k-means assignment has one path
         limit = 0 if branch == "gram" else 1 << 40
-        monkeypatch.setattr(kmeans, "_DIRECT_ASSIGN_LIMIT", limit)
         monkeypatch.setattr(usl, "_REG_DIRECT_LIMIT", limit)
         matrix = mixture(12, 25, 6, seed=11)
         default = fingerprint(matrix, 12)
@@ -94,7 +94,6 @@ class TestTwoRowFloor:
             assert max(sizes) <= max(rows, 3), (n, sizes)
 
     def test_kmeans_history_below_one_row_equals_two_rows(self, monkeypatch):
-        monkeypatch.setattr(kmeans, "_DIRECT_ASSIGN_LIMIT", 0)
         matrix = mixture(12, 25, 6, seed=11)
         monkeypatch.setattr(density, "_ROW_BLOCK_BYTES", 2 * 8 * 12)
         two_rows = kmeans_fit(matrix, 12, seed=3).objective_history
@@ -104,8 +103,10 @@ class TestTwoRowFloor:
 
 class TestPeakMemory:
     """At n=5,000 and m=1,000 one n x m float64 matrix is 40 MB; each stage
-    must peak below a quarter of that. The d=3 cases take the difference
-    branches, whose full n x m x d array would be 120 MB."""
+    must peak below a quarter of that. The d=3 cases take regularization's
+    difference branch, whose full n x m x d array would be 120 MB. In the
+    k-means assignment 1,000 rows sit on a centroid, so each of them
+    recomputes its nearest centroids from differences."""
 
     n, m = 5000, 1000
     limit = n * m * 8 / 4
@@ -126,7 +127,7 @@ class TestPeakMemory:
     def test_kmeans_assignment(self, d):
         X = self.rows(d).data
         C = X[: self.m].copy()
-        assert self.peak(kmeans._assign_with_dist, X, C) < self.limit
+        assert self.peak(kmeans.assign_step, X, C) < self.limit
 
     @pytest.mark.parametrize("horizon", [None, 64])
     @pytest.mark.parametrize("d", [3, 64])
