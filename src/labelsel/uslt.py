@@ -78,6 +78,11 @@ class UsltParams:
         return cls(**base)
 
 
+def _check_running_mean(r: np.ndarray) -> None:
+    if (r <= 0).any() or abs(r.sum() - 1.0) > 1e-6:
+        raise DataError("running_mean must be positive and sum to 1")
+
+
 @dataclass(frozen=True)
 class UsltState:
     """Learnable centroids plus the EMA of soft-assignment batch means."""
@@ -94,8 +99,7 @@ class UsltState:
             raise DataError("centroids must be a C x d array")
         if r.shape != (c.shape[0],):
             raise DataError("running_mean must have one entry per centroid")
-        if (r <= 0).any() or abs(r.sum() - 1.0) > 1e-6:
-            raise DataError("running_mean must be positive and sum to 1")
+        _check_running_mean(r)
         c.flags.writeable = False
         r.flags.writeable = False
         object.__setattr__(self, "centroids", c)
@@ -133,21 +137,35 @@ class AssignmentPair:
         return int(self.hard.argmax())
 
 
+def _check_dim(x: np.ndarray, centroids: np.ndarray) -> None:
+    if x.shape[-1] != centroids.shape[1]:
+        raise DataError(
+            f"feature dim {x.shape[-1]} does not match centroid dim {centroids.shape[1]}"
+        )
+
+
+def _logits(rows: np.ndarray, centroids: np.ndarray, metric: str, out: np.ndarray) -> np.ndarray:
+    """Logits of a 2-D batch of rows, written to ``out``."""
+    if metric == "dot":
+        return np.matmul(rows, centroids.T, out=out)
+    # one row block of the rows x C x d differences at a time
+    for block in _row_blocks(rows.shape[0], 8 * centroids.size):
+        diff = rows[block, None, :] - centroids
+        np.einsum("bkd,bkd->bk", diff, diff, out=out[block])
+        np.negative(out[block], out=out[block])
+    return out
+
+
 def similarities(x: np.ndarray, state: UsltState, metric: str = "dot") -> np.ndarray:
     """Logits z_k = s(x, c_k); accepts a single row or a batch of rows."""
     _check_metric(metric)
     x = np.asarray(x, dtype=np.float64)
     c = state.centroids
-    if x.shape[-1] != c.shape[1]:
-        raise DataError(f"feature dim {x.shape[-1]} does not match centroid dim {c.shape[1]}")
+    _check_dim(x, c)
     if metric == "dot":
         return x @ c.T
-    # one row block of the rows x C x d differences at a time
     rows = x.reshape(-1, c.shape[1])
-    z = np.empty((rows.shape[0], c.shape[0]))
-    for block in _row_blocks(rows.shape[0], 8 * c.size):
-        diff = rows[block, None, :] - c
-        z[block] = -np.einsum("bkd,bkd->bk", diff, diff)
+    z = _logits(rows, c, metric, np.empty((rows.shape[0], c.shape[0])))
     return z.reshape(x.shape[:-1] + (c.shape[0],))
 
 
@@ -199,29 +217,6 @@ def _global_per_sample(z, lse, hard) -> np.ndarray:
     return lse - z[np.arange(z.shape[0]), hard]
 
 
-def _global_from_logits(X, z, soft, lse, centroids, tau, metric) -> GlobalLossResult:
-    """Global term from the batch logits ``z``, their softmax and their
-    logsumexp, each computed once by the caller."""
-    n = X.shape[0]
-    rows = np.arange(n)
-    hard = np.argmax(z, axis=1)
-    mask = soft.max(axis=1) >= tau
-    per_sample = _global_per_sample(z, lse, hard)
-    loss = float(per_sample[mask].sum() / n)
-    W = soft.copy()
-    W[rows, hard] -= 1.0
-    W *= mask[:, None] / n
-    grad = _chain_to_centroids(W, X, centroids, metric)
-    return GlobalLossResult(
-        loss=loss,
-        grad=grad,
-        per_sample=per_sample,
-        confident_mask=mask,
-        no_confident=not bool(mask.any()),
-        hard_labels=hard,
-    )
-
-
 def global_loss(
     X: np.ndarray, state: UsltState, tau: float = 0.0, metric: str = "dot"
 ) -> GlobalLossResult:
@@ -234,9 +229,21 @@ def global_loss(
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] == 0:
         raise DataError("empty batch")
+    n = X.shape[0]
     z = similarities(X, state, metric)
-    return _global_from_logits(
-        X, z, softmax(z, axis=1), logsumexp(z, axis=1), state.centroids, tau, metric
+    hard = np.argmax(z, axis=1)
+    W = softmax(z, axis=1)
+    mask = W.max(axis=1) >= tau
+    per_sample = _global_per_sample(z, logsumexp(z, axis=1), hard)
+    W[np.arange(n), hard] -= 1.0
+    W *= mask[:, None] / n
+    return GlobalLossResult(
+        loss=float(per_sample[mask].sum() / n),
+        grad=_chain_to_centroids(W, X, state.centroids, metric),
+        per_sample=per_sample,
+        confident_mask=mask,
+        no_confident=not bool(mask.any()),
+        hard_labels=hard,
     )
 
 
@@ -286,10 +293,13 @@ def ema_update(state: UsltState, batch_soft_mean: np.ndarray, momentum: float) -
     batch_soft_mean = np.asarray(batch_soft_mean, dtype=np.float64)
     if batch_soft_mean.shape != state.running_mean.shape:
         raise DataError("batch mean must have one entry per centroid")
+    return replace(state, running_mean=_ema(batch_soft_mean, state.running_mean, momentum))
+
+
+def _ema(batch_soft_mean: np.ndarray, running_mean: np.ndarray, momentum: float) -> np.ndarray:
     if (batch_soft_mean < 0).any() or abs(batch_soft_mean.sum() - 1.0) > 1e-6:
         raise DataError("batch mean must be a probability vector")
-    mixed = momentum * batch_soft_mean + (1.0 - momentum) * state.running_mean
-    return replace(state, running_mean=mixed)
+    return momentum * batch_soft_mean + (1.0 - momentum) * running_mean
 
 
 def sharpen(z_hat: np.ndarray, temperature: float) -> np.ndarray:
@@ -299,18 +309,13 @@ def sharpen(z_hat: np.ndarray, temperature: float) -> np.ndarray:
     return softmax(np.asarray(z_hat, dtype=np.float64) / temperature, axis=-1)
 
 
-def _targets_from_logits(z_n: np.ndarray, state: UsltState, params: UsltParams) -> np.ndarray:
-    z_hat = logit_adjust(z_n, state.running_mean, params.adjust_alpha)
-    return sharpen(z_hat, params.temperature)
-
-
 def local_targets(
     Xn: np.ndarray, state: UsltState, params: UsltParams, metric: str = "dot"
 ) -> np.ndarray:
     """Reference distributions built from the neighbor branch: adjusted
     logits pushed through the sharpener. Constant w.r.t. the gradients."""
     z = similarities(np.atleast_2d(np.asarray(Xn, dtype=np.float64)), state, metric)
-    return _targets_from_logits(z, state, params)
+    return sharpen(logit_adjust(z, state.running_mean, params.adjust_alpha), params.temperature)
 
 
 @dataclass(frozen=True)
@@ -328,17 +333,6 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
 def _local_per_sample(z, lse, targets) -> np.ndarray:
     log_soft = z - lse[:, None]
     return _xlogx(targets).sum(axis=1) - (targets * log_soft).sum(axis=1)
-
-
-def _local_from_logits(X, z, soft, lse, targets, centroids, metric) -> LocalLossResult:
-    """Local term from the batch logits ``z``, their softmax and their
-    logsumexp, each computed once by the caller."""
-    n = X.shape[0]
-    per_sample = _local_per_sample(z, lse, targets)
-    loss = float(per_sample.sum() / n)
-    W = (soft - targets) / n
-    grad = _chain_to_centroids(W, X, centroids, metric)
-    return LocalLossResult(loss=loss, grad=grad, per_sample=per_sample, targets=targets)
 
 
 def _check_batches(X, Xn):
@@ -364,9 +358,15 @@ def local_loss(
     X, Xn = _check_batches(X, Xn)
     if targets is None:
         targets = local_targets(Xn, state, params, metric)
+    n = X.shape[0]
     z = similarities(X, state, metric)
-    return _local_from_logits(
-        X, z, softmax(z, axis=1), logsumexp(z, axis=1), targets, state.centroids, metric
+    per_sample = _local_per_sample(z, logsumexp(z, axis=1), targets)
+    W = (softmax(z, axis=1) - targets) / n
+    return LocalLossResult(
+        loss=float(per_sample.sum() / n),
+        grad=_chain_to_centroids(W, X, state.centroids, metric),
+        per_sample=per_sample,
+        targets=targets,
     )
 
 
@@ -387,22 +387,105 @@ class TotalLossResult:
     local_result: LocalLossResult
 
 
-def _total_from_logits(X, z, targets, state, params, metric) -> TotalLossResult:
-    """Both terms from one set of batch logits: the softmax and logsumexp
-    they share come from one pass of exponentials and row sums."""
-    peak = z.max(axis=1, keepdims=True)
-    soft = np.exp(z - peak)
-    sums = soft.sum(axis=1, keepdims=True)
-    soft /= sums
-    lse = np.squeeze(np.log(sums) + peak, axis=1)
-    g = _global_from_logits(X, z, soft, lse, state.centroids, params.tau, metric)
-    l = _local_from_logits(X, z, soft, lse, targets, state.centroids, metric)
-    return TotalLossResult(
-        loss=g.loss + params.loss_weight * l.loss,
-        grad=g.grad + params.loss_weight * l.grad,
-        global_result=g,
-        local_result=l,
-    )
+_TINIEST = np.finfo(np.float64).smallest_subnormal
+
+
+class _BatchLoss:
+    """The total loss of minibatches of one size, over four reused B x C
+    buffers. ``total_loss`` and every ``fit_centroids`` step run it.
+
+    It performs the operations of ``local_targets``, ``global_loss`` and
+    ``local_loss``, so its terms are bit-equal to theirs, with four exact
+    shortcuts:
+
+    - a softmax shifts each row by the entry at its argmax, which is the
+      row maximum up to the sign of a zero maximum; x - 0.0 and x - (-0.0)
+      differ at most in the sign of a zero, which exp maps to 1 either way,
+      and log(row_sum) >= 0 absorbs either zero;
+    - a softmax row's maximum is ``1.0 / row_sum``, because its largest
+      shifted exponential is exp(0) = 1;
+    - when every row passes the confidence filter (at tau = 0 every row of
+      finite logits does), the filter is the scalar 1/n;
+    - log(max(p, smallest subnormal)) is log(p) for every p > 0; at p = 0
+      the product p * log(...) is -0.0, which adds like the 0.0 of ``_xlogx``
+      to a row sum that always holds a nonzero or +0.0 term.
+
+    The terms of the last batch stay on the instance for ``total_loss``.
+    """
+
+    def __init__(self, rows: int, clusters: int):
+        self.rows = np.arange(rows)
+        self.z = np.empty((rows, clusters))  # instance logits
+        self.soft = np.empty((rows, clusters))  # their softmax
+        self.targets = np.empty((rows, clusters))  # local targets of the neighbors
+        self.work = np.empty((rows, clusters))  # neighbor logits, then scratch
+
+    def _softmax(self, z, hard, out):
+        """Row softmax of ``z`` written to ``out`` (which may be ``z``);
+        ``hard`` is the row argmax of ``z``. Returns the row maxima and the
+        row sums of the shifted exponentials, both as columns."""
+        peak = z[self.rows, hard][:, None]
+        np.subtract(z, peak, out=out)
+        np.exp(out, out=out)
+        sums = out.sum(axis=1, keepdims=True)
+        out /= sums
+        return peak, sums
+
+    def neighbor_targets(self, Xn, centroids, running_mean, params, metric):
+        """``local_targets`` of the neighbor rows; their raw logits stay in
+        ``work`` for ``neighbor_mean``."""
+        if (running_mean <= 0).any():
+            raise DataError("running_mean entries must be strictly positive")
+        z_n = _logits(Xn, centroids, metric, self.work)
+        t = self.targets
+        np.subtract(z_n, params.adjust_alpha * np.log(running_mean), out=t)
+        t /= params.temperature
+        self._softmax(t, t.argmax(axis=1), t)
+        return t
+
+    def neighbor_mean(self) -> np.ndarray:
+        """Batch mean of the softmax of the neighbor logits in ``work``."""
+        self._softmax(self.work, self.work.argmax(axis=1), self.work)
+        return self.work.mean(axis=0)
+
+    def loss(self, X, centroids, targets, params, metric):
+        """(loss, gradient) of the global term plus loss_weight times the
+        local term."""
+        n = X.shape[0]
+        rows, z, soft, work = self.rows, self.z, self.soft, self.work
+        _logits(X, centroids, metric, z)
+        self.hard = z.argmax(axis=1)
+        peak, sums = self._softmax(z, self.hard, soft)
+        lse = np.log(sums[:, 0]) + peak[:, 0]
+
+        self.global_per_sample = lse - z[rows, self.hard]
+        np.copyto(work, soft)
+        work[rows, self.hard] -= 1.0
+        self.mask = 1.0 / sums[:, 0] >= params.tau
+        if self.mask.all():
+            self.global_loss = float(self.global_per_sample.sum() / n)
+            work *= 1.0 / n
+        else:
+            self.global_loss = float(self.global_per_sample[self.mask].sum() / n)
+            work *= self.mask[:, None] / n
+        self.global_grad = _chain_to_centroids(work, X, centroids, metric)
+
+        np.maximum(targets, _TINIEST, out=work)
+        np.log(work, out=work)
+        work *= targets
+        per_sample = work.sum(axis=1)
+        np.subtract(z, lse[:, None], out=work)
+        work *= targets
+        per_sample -= work.sum(axis=1)
+        self.local_per_sample = per_sample
+        self.local_loss = float(per_sample.sum() / n)
+        np.subtract(soft, targets, out=work)
+        work /= n
+        self.local_grad = _chain_to_centroids(work, X, centroids, metric)
+        return (
+            self.global_loss + params.loss_weight * self.local_loss,
+            self.global_grad + params.loss_weight * self.local_grad,
+        )
 
 
 def total_loss(
@@ -414,12 +497,34 @@ def total_loss(
     local_targets_override: np.ndarray | None = None,
 ) -> TotalLossResult:
     """Global term plus loss_weight times the local term."""
+    _check_metric(metric)
     X, Xn = _check_batches(X, Xn)
-    z = similarities(X, state, metric)
+    _check_dim(X, state.centroids)
+    batch = _BatchLoss(X.shape[0], state.num_clusters)
     targets = local_targets_override
     if targets is None:
-        targets = local_targets(Xn, state, params, metric)
-    return _total_from_logits(X, z, targets, state, params, metric)
+        targets = batch.neighbor_targets(
+            Xn, state.centroids, state.running_mean, params, metric
+        )
+    loss, grad = batch.loss(X, state.centroids, targets, params, metric)
+    return TotalLossResult(
+        loss=loss,
+        grad=grad,
+        global_result=GlobalLossResult(
+            loss=batch.global_loss,
+            grad=batch.global_grad,
+            per_sample=batch.global_per_sample,
+            confident_mask=batch.mask,
+            no_confident=not bool(batch.mask.any()),
+            hard_labels=batch.hard,
+        ),
+        local_result=LocalLossResult(
+            loss=batch.local_loss,
+            grad=batch.local_grad,
+            per_sample=batch.local_per_sample,
+            targets=targets,
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -449,6 +554,10 @@ class OptimizerConfig:
             raise DataError("batch_size must be >= 1")
         if not 0.0 <= self.momentum < 1.0:
             raise DataError("optimizer momentum must be in [0, 1)")
+        if self.reseed_interval < 1:
+            raise DataError("reseed_interval must be >= 1")
+        if self.reseed_noise < 0:
+            raise DataError("reseed_noise must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -457,6 +566,7 @@ class UsltFitResult:
     loss_history: tuple[float, ...]
     occupancy_history: tuple  # (step, per-cluster counts) at epoch boundaries
     knn_fallback_rows: int = 0  # neighbor-graph rows recomputed in full
+    reseeds: int = 0  # empty clusters re-seeded, summed over the fit
 
 
 def _hard_counts(X, state, metric, num_clusters):
@@ -481,6 +591,10 @@ def fit_centroids(
     come from an exact kNN graph built once up front. Clusters that go
     empty are periodically re-seeded to a perturbed copy of the head
     (largest) cluster's centroid. Divergence (non-finite loss) aborts.
+
+    Each step is the loop of ``total_loss``, ``ema_update`` and a fresh
+    ``UsltState`` bit for bit, on plain arrays updated in place and one set
+    of reused B x C buffers.
     """
     _check_metric(metric)
     params = params or UsltParams()
@@ -495,67 +609,61 @@ def fit_centroids(
         return UsltFitResult(state=state, loss_history=(), occupancy_history=())
 
     graph = build_knn_graph(matrix, params.neighbor_k, threads=threads)
-    velocity = np.zeros_like(state.centroids)
+    centroids = state.centroids.copy()
+    running_mean = state.running_mean.copy()
+    velocity = np.zeros_like(centroids)
     batch = min(optimizer.batch_size, n)
+    step_loss = _BatchLoss(batch, num_clusters)
     steps_per_epoch = max(1, math.ceil(n / batch))
     losses = []
     occupancy = []
-    for step in range(1, optimizer.steps + 1):
-        idx = rng.choice(n, size=batch, replace=False)
-        nbr = graph.neighbors[idx, rng.integers(0, graph.k, size=batch)]
-        Xb, Xnb = X[idx], X[nbr]
-        # the neighbor logits under the pre-step state feed both the local
-        # targets and the EMA batch mean
-        with np.errstate(all="ignore"):  # divergence is caught right below
-            z_n = similarities(Xnb, state, metric)
-            result = _total_from_logits(
-                Xb,
-                similarities(Xb, state, metric),
-                _targets_from_logits(z_n, state, params),
-                state,
-                params,
-                metric,
-            )
-        if not np.isfinite(result.loss) or not np.isfinite(result.grad).all():
-            raise NumericalError(
-                f"loss diverged at step {step}: loss={result.loss!r}; "
-                f"try a smaller learning rate (current {optimizer.learning_rate})"
-            )
-        losses.append(result.loss)
-        velocity = optimizer.momentum * velocity - optimizer.learning_rate * result.grad
-        centroids = state.centroids + velocity
-        if optimizer.normalize_centroids:
-            norms = np.linalg.norm(centroids, axis=1, keepdims=True)
-            centroids = centroids / np.maximum(norms, 1e-12)
-        batch_mean = softmax(z_n, axis=1).mean(axis=0)
-        state = ema_update(
-            UsltState(centroids=centroids, running_mean=state.running_mean, step=step),
-            batch_mean,
-            params.momentum,
-        )
-        at_epoch = step % steps_per_epoch == 0 or step == optimizer.steps
-        at_reseed = step % optimizer.reseed_interval == 0
-        if at_epoch or at_reseed:
-            counts = _hard_counts(X, state, metric, num_clusters)
-            if at_epoch:
-                occupancy.append((step, counts.copy()))
-            empty = np.flatnonzero(counts == 0)
-            if empty.size:
-                centroids = state.centroids.copy()
+    reseeds = 0
+    with np.errstate(all="ignore"):  # divergence is caught right after the loss
+        for step in range(1, optimizer.steps + 1):
+            idx = rng.choice(n, size=batch, replace=False)
+            nbr = graph.neighbors[idx, rng.integers(0, graph.k, size=batch)]
+            # the neighbor logits under the pre-step centroids feed both the
+            # local targets and the EMA batch mean
+            targets = step_loss.neighbor_targets(X[nbr], centroids, running_mean, params, metric)
+            batch_mean = step_loss.neighbor_mean()
+            loss, grad = step_loss.loss(X[idx], centroids, targets, params, metric)
+            if not np.isfinite(loss) or not np.isfinite(grad).all():
+                raise NumericalError(
+                    f"loss diverged at step {step}: loss={loss!r}; "
+                    f"try a smaller learning rate (current {optimizer.learning_rate})"
+                )
+            losses.append(loss)
+            velocity *= optimizer.momentum
+            grad *= optimizer.learning_rate
+            velocity -= grad
+            centroids += velocity
+            if optimizer.normalize_centroids:
+                # np.linalg.norm(centroids, axis=1) by its own operations
+                norms = np.sqrt((centroids * centroids).sum(axis=1, keepdims=True))
+                centroids /= np.maximum(norms, 1e-12)
+            running_mean = _ema(batch_mean, running_mean, params.momentum)
+            _check_running_mean(running_mean)
+            at_epoch = step % steps_per_epoch == 0 or step == optimizer.steps
+            at_reseed = step % optimizer.reseed_interval == 0
+            if at_epoch or at_reseed:
+                state = UsltState(centroids=centroids, running_mean=running_mean, step=step)
+                counts = _hard_counts(X, state, metric, num_clusters)
+                if at_epoch:
+                    occupancy.append((step, counts))
+                empty = np.flatnonzero(counts == 0)
                 head = int(counts.argmax())
                 for e in empty:
                     centroids[e] = centroids[head] + rng.normal(
                         0.0, optimizer.reseed_noise, size=centroids.shape[1]
                     )
                     velocity[e] = 0.0
-                state = UsltState(
-                    centroids=centroids, running_mean=state.running_mean, step=state.step
-                )
+                reseeds += int(empty.size)
     return UsltFitResult(
-        state=state,
+        state=UsltState(centroids=centroids, running_mean=running_mean, step=optimizer.steps),
         loss_history=tuple(losses),
         occupancy_history=tuple(occupancy),
         knn_fallback_rows=graph.fallback_rows,
+        reseeds=reseeds,
     )
 
 
@@ -577,7 +685,9 @@ def select_uslt(
     hard = np.empty(matrix.n, dtype=np.int64)
     for rows, z in _logit_blocks(matrix.data, fit.state, metric):
         hard[rows] = np.argmax(z, axis=1)
-        confidence[rows] = softmax(z, axis=1).max(axis=1)
+        # the softmax row maximum, 1 / (sum of the shifted exponentials)
+        z -= z.max(axis=1, keepdims=True)
+        confidence[rows] = 1.0 / np.exp(z, out=z).sum(axis=1)
     picks, shortfall = _per_cluster_argmax(confidence, hard, budget)
     if shortfall:
         raise EmptyClusterError(
@@ -590,6 +700,7 @@ def select_uslt(
         ],
         "hard_assignment_rule": "argmax_similarity",
         "knn_fallback_rows": fit.knn_fallback_rows,
+        "reseeds": fit.reseeds,
     }
     return SelectionResult(
         indices=picks,

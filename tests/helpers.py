@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: full sorts, double loops, exhaustive
 enumeration, exact combinatorics. None of it shares code with the library
-paths it verifies.
+paths it verifies, except ``reference_fit``: it runs the USL-T step loop
+one public kernel call at a time, so that the optimizer's own loop is
+checked against the kernels it must agree with bit for bit.
 """
 
 import itertools
@@ -146,3 +148,83 @@ def exact_expected_coverage(class_sizes, budget):
     n = sum(class_sizes)
     total = math.comb(n, budget)
     return sum(1.0 - math.comb(n - s, budget) / total for s in class_sizes)
+
+
+def reference_fit(matrix, num_clusters, params, optimizer, metric="dot"):
+    """USL-T minibatch descent written out from the public kernels: a fresh
+    ``UsltState`` every step, ``total_loss`` for the loss and gradient,
+    ``softmax(similarities(Xn))`` for the batch mean, ``ema_update`` for the
+    running mean and a full ``similarities`` pass for the occupancy counts.
+
+    Returns (state, loss history, occupancy history, clusters re-seeded).
+    """
+    from labelsel import uslt
+    from labelsel.density import build_knn_graph
+
+    X = matrix.data
+    n = X.shape[0]
+    rng = np.random.default_rng(optimizer.seed)
+    state = uslt.initial_state(X, num_clusters, rng)
+    losses, occupancy, reseeds = [], [], 0
+    if optimizer.steps == 0:
+        return state, losses, occupancy, reseeds
+    graph = build_knn_graph(matrix, params.neighbor_k)
+    velocity = np.zeros_like(state.centroids)
+    batch = min(optimizer.batch_size, n)
+    steps_per_epoch = max(1, math.ceil(n / batch))
+    for step in range(1, optimizer.steps + 1):
+        idx = rng.choice(n, size=batch, replace=False)
+        nbr = graph.neighbors[idx, rng.integers(0, graph.k, size=batch)]
+        Xb, Xnb = X[idx], X[nbr]
+        with np.errstate(all="ignore"):
+            result = uslt.total_loss(Xb, Xnb, state, params, metric)
+        assert np.isfinite(result.loss) and np.isfinite(result.grad).all()
+        losses.append(result.loss)
+        velocity = optimizer.momentum * velocity - optimizer.learning_rate * result.grad
+        centroids = state.centroids + velocity
+        if optimizer.normalize_centroids:
+            norms = np.linalg.norm(centroids, axis=1, keepdims=True)
+            centroids = centroids / np.maximum(norms, 1e-12)
+        batch_mean = uslt.softmax(uslt.similarities(Xnb, state, metric), axis=1).mean(axis=0)
+        state = uslt.ema_update(
+            uslt.UsltState(centroids=centroids, running_mean=state.running_mean, step=step),
+            batch_mean,
+            params.momentum,
+        )
+        at_epoch = step % steps_per_epoch == 0 or step == optimizer.steps
+        if at_epoch or step % optimizer.reseed_interval == 0:
+            hard = uslt.similarities(X, state, metric).argmax(axis=1)
+            counts = np.bincount(hard, minlength=num_clusters)
+            if at_epoch:
+                occupancy.append((step, counts.copy()))
+            empty = np.flatnonzero(counts == 0)
+            if empty.size:
+                centroids = state.centroids.copy()
+                head = int(counts.argmax())
+                for e in empty:
+                    centroids[e] = centroids[head] + rng.normal(
+                        0.0, optimizer.reseed_noise, size=centroids.shape[1]
+                    )
+                    velocity[e] = 0.0
+                reseeds += empty.size
+                state = uslt.UsltState(
+                    centroids=centroids, running_mean=state.running_mean, step=state.step
+                )
+    return state, losses, occupancy, reseeds
+
+
+def reference_uslt_picks(matrix, state, metric="dot"):
+    """Each cluster's member of highest softmax confidence (ties to the
+    lower index) under the fitted state, or None if a cluster is empty."""
+    from labelsel import uslt
+
+    z = uslt.similarities(matrix.data, state, metric)
+    confidence = uslt.softmax(z, axis=1).max(axis=1)
+    hard = z.argmax(axis=1)
+    picks = []
+    for c in range(state.num_clusters):
+        members = np.flatnonzero(hard == c)
+        if members.size == 0:
+            return None
+        picks.append(members[int(np.argmax(confidence[members]))])
+    return np.array(picks, dtype=np.int64)

@@ -70,6 +70,16 @@ class TestSelect:
             ) == 0
             assert json.loads(rep.read_text())["trace"]["knn_fallback_rows"] == 0
 
+    def test_uslt_report_records_reseeds(self, synth_files, tmp_path):
+        emb, _ = synth_files
+        rep = tmp_path / "r.json"
+        assert run(
+            ["select", "--method", "uslt", "--embeddings", emb, "--budget", 10,
+             "--iters", 60, "--seed", 1, "--out", tmp_path / "s.txt", "--report", rep]
+        ) == 0
+        reseeds = json.loads(rep.read_text())["trace"]["reseeds"]
+        assert isinstance(reseeds, int) and reseeds >= 0
+
     def test_budget_zero_usage_error(self, synth_files, tmp_path):
         emb, _ = synth_files
         assert run(

@@ -32,7 +32,7 @@ from labelsel import build_knn_graph, checks, density
 from labelsel.usl import _per_cluster_argmax
 from labelsel.uslt import local_targets, softmax
 
-from helpers import sign_lattice
+from helpers import reference_fit, reference_uslt_picks, sign_lattice
 
 
 def state_of(centroids, running_mean=None):
@@ -527,6 +527,73 @@ class TestFitAndSelect:
         assert preselect.trace["loss_history"] == direct.trace["loss_history"]
 
 
+def small_mixture(modes, per_mode, dim, seed):
+    spec = SyntheticSpec(
+        modes=modes, per_mode=per_mode, dim=dim, sigma=1.0,
+        layout="random_centers", radius=1.0, seed=seed, normalize=True,
+    )
+    return generate_synthetic(spec)[0]
+
+
+def assert_fit_matches_reference(matrix, clusters, params, optimizer, metric):
+    fit = fit_centroids(matrix, clusters, params, optimizer, metric)
+    state, losses, occupancy, reseeds = reference_fit(
+        matrix, clusters, params, optimizer, metric
+    )
+    assert fit.state.centroids.tobytes() == state.centroids.tobytes()
+    assert fit.state.running_mean.tobytes() == state.running_mean.tobytes()
+    assert fit.state.step == state.step
+    assert fit.loss_history == tuple(losses)
+    assert [(s, c.tobytes()) for s, c in fit.occupancy_history] == [
+        (s, c.tobytes()) for s, c in occupancy
+    ]
+    picks = reference_uslt_picks(matrix, state, metric)
+    if picks is None:
+        with pytest.raises(EmptyClusterError):
+            select_uslt(matrix, clusters, params, optimizer, metric)
+        return reseeds
+    res = select_uslt(matrix, clusters, params, optimizer, metric)
+    assert res.indices.tobytes() == picks.tobytes()
+    assert res.trace["loss_history"] == losses
+    return reseeds
+
+
+class TestReferenceFit:
+    """fit_centroids and select_uslt agree bit for bit with the step loop
+    written out from the public kernels (``helpers.reference_fit``)."""
+
+    @pytest.mark.parametrize("metric", ["dot", "neg_sq_euclidean"])
+    @pytest.mark.parametrize("tau", [0.0, 0.3])
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_byte_equal(self, metric, tau, momentum, normalize):
+        matrix = small_mixture(6, 40, 5, seed=21)
+        params = UsltParams(tau=tau, neighbor_k=6)
+        optimizer = OptimizerConfig(
+            steps=40, batch_size=64, seed=5, momentum=momentum,
+            normalize_centroids=normalize, reseed_interval=9,
+        )
+        assert_fit_matches_reference(matrix, 6, params, optimizer, metric)
+
+    @pytest.mark.parametrize("metric", ["dot", "neg_sq_euclidean"])
+    def test_byte_equal_with_forced_reseeds(self, metric):
+        matrix = small_mixture(3, 100, 2, seed=1)
+        optimizer = OptimizerConfig(steps=60, batch_size=64, seed=6, reseed_interval=7)
+        reseeds = assert_fit_matches_reference(matrix, 40, UsltParams(), optimizer, metric)
+        assert reseeds > 0
+
+
+    def test_reseeds_traced_without_changing_picks(self):
+        matrix = small_mixture(3, 100, 2, seed=1)
+        optimizer = OptimizerConfig(steps=60, batch_size=64, seed=6, reseed_interval=7)
+        state, _, _, reseeds = reference_fit(matrix, 40, UsltParams(), optimizer)
+        assert reseeds > 0
+        assert fit_centroids(matrix, 40, UsltParams(), optimizer).reseeds == reseeds
+        res = select_uslt(matrix, 40, UsltParams(), optimizer)
+        assert res.trace["reseeds"] == reseeds
+        assert res.indices.tobytes() == reference_uslt_picks(matrix, state).tobytes()
+
+
 class TestObservationChecks:
     def test_observation1_suite(self):
         out = checks.check_global_local_identity(cases=300, seed=11)
@@ -608,3 +675,13 @@ class TestUsltParams:
             UsltState(centroids=np.ones((2, 2)), running_mean=np.array([0.5, 0.6]))
         with pytest.raises(DataError):
             UsltState(centroids=np.ones((2, 2)), running_mean=np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("reseed_interval", 0), ("reseed_interval", -3), ("reseed_noise", -1e-3)],
+    )
+    def test_reseed_settings_rejected_at_construction(self, field, value):
+        # at 0 the fit died mid-run on a modulo by zero, a negative interval
+        # re-seeded every |k| steps, and a negative noise reached numpy
+        with pytest.raises(DataError, match=field):
+            OptimizerConfig(**{field: value})
