@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -390,27 +391,52 @@ class TotalLossResult:
 _TINIEST = np.finfo(np.float64).smallest_subnormal
 
 
+def _softmax_rows(z, peak, out):
+    """Row softmax of ``z`` shifted by the column ``peak``, written to
+    ``out`` (which may be ``z``). Returns the row sums of the shifted
+    exponentials as a column."""
+    np.subtract(z, peak, out=out)
+    np.exp(out, out=out)
+    sums = out.sum(axis=1, keepdims=True)
+    out /= sums
+    return sums
+
+
+class _Terms(NamedTuple):
+    """One batch's total loss and gradient, and the terms they sum."""
+
+    loss: float
+    grad: np.ndarray
+    hard: np.ndarray
+    mask: np.ndarray
+    global_loss: float
+    global_grad: np.ndarray
+    global_per_sample: np.ndarray
+    local_loss: float
+    local_grad: np.ndarray
+    local_per_sample: np.ndarray
+
+
 class _BatchLoss:
     """The total loss of minibatches of one size, over four reused B x C
     buffers. ``total_loss`` and every ``fit_centroids`` step run it.
 
     It performs the operations of ``local_targets``, ``global_loss`` and
-    ``local_loss``, so its terms are bit-equal to theirs, with four exact
-    shortcuts:
+    ``local_loss``, so its terms are bit-equal to theirs, with three exact
+    shortcuts in ``loss``:
 
-    - a softmax shifts each row by the entry at its argmax, which is the
-      row maximum up to the sign of a zero maximum; x - 0.0 and x - (-0.0)
-      differ at most in the sign of a zero, which exp maps to 1 either way,
-      and log(row_sum) >= 0 absorbs either zero;
+    - the instance softmax shifts each row by the entry at its argmax, which
+      the global term needs anyway and which is the row maximum up to the
+      sign of a zero maximum; x - 0.0 and x - (-0.0) differ at most in the
+      sign of a zero, which exp maps to 1 either way, and log(row_sum) >= 0
+      absorbs either zero;
     - a softmax row's maximum is ``1.0 / row_sum``, because its largest
-      shifted exponential is exp(0) = 1;
-    - when every row passes the confidence filter (at tau = 0 every row of
-      finite logits does), the filter is the scalar 1/n;
+      shifted exponential is exp(0) = 1, so the confidence filter needs no
+      B x C pass;
     - log(max(p, smallest subnormal)) is log(p) for every p > 0; at p = 0
       the product p * log(...) is -0.0, which adds like the 0.0 of ``_xlogx``
-      to a row sum that always holds a nonzero or +0.0 term.
-
-    The terms of the last batch stay on the instance for ``total_loss``.
+      to a row sum that always holds a nonzero or +0.0 term. Targets must
+      therefore be non-negative.
     """
 
     def __init__(self, rows: int, clusters: int):
@@ -419,17 +445,6 @@ class _BatchLoss:
         self.soft = np.empty((rows, clusters))  # their softmax
         self.targets = np.empty((rows, clusters))  # local targets of the neighbors
         self.work = np.empty((rows, clusters))  # neighbor logits, then scratch
-
-    def _softmax(self, z, hard, out):
-        """Row softmax of ``z`` written to ``out`` (which may be ``z``);
-        ``hard`` is the row argmax of ``z``. Returns the row maxima and the
-        row sums of the shifted exponentials, both as columns."""
-        peak = z[self.rows, hard][:, None]
-        np.subtract(z, peak, out=out)
-        np.exp(out, out=out)
-        sums = out.sum(axis=1, keepdims=True)
-        out /= sums
-        return peak, sums
 
     def neighbor_targets(self, Xn, centroids, running_mean, params, metric):
         """``local_targets`` of the neighbor rows; their raw logits stay in
@@ -440,51 +455,55 @@ class _BatchLoss:
         t = self.targets
         np.subtract(z_n, params.adjust_alpha * np.log(running_mean), out=t)
         t /= params.temperature
-        self._softmax(t, t.argmax(axis=1), t)
+        _softmax_rows(t, t.max(axis=1, keepdims=True), t)
         return t
 
     def neighbor_mean(self) -> np.ndarray:
         """Batch mean of the softmax of the neighbor logits in ``work``."""
-        self._softmax(self.work, self.work.argmax(axis=1), self.work)
-        return self.work.mean(axis=0)
+        work = self.work
+        _softmax_rows(work, work.max(axis=1, keepdims=True), work)
+        return work.mean(axis=0)
 
-    def loss(self, X, centroids, targets, params, metric):
-        """(loss, gradient) of the global term plus loss_weight times the
-        local term."""
+    def loss(self, X, centroids, targets, params, metric) -> _Terms:
+        """The global term plus loss_weight times the local term."""
         n = X.shape[0]
         rows, z, soft, work = self.rows, self.z, self.soft, self.work
         _logits(X, centroids, metric, z)
-        self.hard = z.argmax(axis=1)
-        peak, sums = self._softmax(z, self.hard, soft)
-        lse = np.log(sums[:, 0]) + peak[:, 0]
+        hard = z.argmax(axis=1)
+        peak = z[rows, hard]
+        sums = _softmax_rows(z, peak[:, None], soft)[:, 0]
+        lse = np.log(sums) + peak
 
-        self.global_per_sample = lse - z[rows, self.hard]
+        global_per_sample = lse - peak
+        mask = 1.0 / sums >= params.tau
+        global_loss = float(global_per_sample[mask].sum() / n)
         np.copyto(work, soft)
-        work[rows, self.hard] -= 1.0
-        self.mask = 1.0 / sums[:, 0] >= params.tau
-        if self.mask.all():
-            self.global_loss = float(self.global_per_sample.sum() / n)
-            work *= 1.0 / n
-        else:
-            self.global_loss = float(self.global_per_sample[self.mask].sum() / n)
-            work *= self.mask[:, None] / n
-        self.global_grad = _chain_to_centroids(work, X, centroids, metric)
+        work[rows, hard] -= 1.0
+        work *= mask[:, None] / n
+        global_grad = _chain_to_centroids(work, X, centroids, metric)
 
         np.maximum(targets, _TINIEST, out=work)
         np.log(work, out=work)
         work *= targets
-        per_sample = work.sum(axis=1)
+        local_per_sample = work.sum(axis=1)
         np.subtract(z, lse[:, None], out=work)
         work *= targets
-        per_sample -= work.sum(axis=1)
-        self.local_per_sample = per_sample
-        self.local_loss = float(per_sample.sum() / n)
+        local_per_sample -= work.sum(axis=1)
+        local_loss = float(local_per_sample.sum() / n)
         np.subtract(soft, targets, out=work)
         work /= n
-        self.local_grad = _chain_to_centroids(work, X, centroids, metric)
-        return (
-            self.global_loss + params.loss_weight * self.local_loss,
-            self.global_grad + params.loss_weight * self.local_grad,
+        local_grad = _chain_to_centroids(work, X, centroids, metric)
+        return _Terms(
+            loss=global_loss + params.loss_weight * local_loss,
+            grad=global_grad + params.loss_weight * local_grad,
+            hard=hard,
+            mask=mask,
+            global_loss=global_loss,
+            global_grad=global_grad,
+            global_per_sample=global_per_sample,
+            local_loss=local_loss,
+            local_grad=local_grad,
+            local_per_sample=local_per_sample,
         )
 
 
@@ -496,32 +515,41 @@ def total_loss(
     metric: str = "dot",
     local_targets_override: np.ndarray | None = None,
 ) -> TotalLossResult:
-    """Global term plus loss_weight times the local term."""
+    """Global term plus loss_weight times the local term.
+
+    ``local_targets_override``, if given, replaces the neighbor targets; it
+    must hold one non-negative row per instance and one column per centroid.
+    """
     _check_metric(metric)
     X, Xn = _check_batches(X, Xn)
     _check_dim(X, state.centroids)
     batch = _BatchLoss(X.shape[0], state.num_clusters)
-    targets = local_targets_override
-    if targets is None:
+    if local_targets_override is None:
         targets = batch.neighbor_targets(
             Xn, state.centroids, state.running_mean, params, metric
         )
-    loss, grad = batch.loss(X, state.centroids, targets, params, metric)
+    else:
+        targets = np.asarray(local_targets_override, dtype=np.float64)
+        if targets.shape != (X.shape[0], state.num_clusters):
+            raise DataError("local targets must have shape (batch size, clusters)")
+        if (targets < 0).any():
+            raise DataError("local targets must be non-negative")
+    t = batch.loss(X, state.centroids, targets, params, metric)
     return TotalLossResult(
-        loss=loss,
-        grad=grad,
+        loss=t.loss,
+        grad=t.grad,
         global_result=GlobalLossResult(
-            loss=batch.global_loss,
-            grad=batch.global_grad,
-            per_sample=batch.global_per_sample,
-            confident_mask=batch.mask,
-            no_confident=not bool(batch.mask.any()),
-            hard_labels=batch.hard,
+            loss=t.global_loss,
+            grad=t.global_grad,
+            per_sample=t.global_per_sample,
+            confident_mask=t.mask,
+            no_confident=not bool(t.mask.any()),
+            hard_labels=t.hard,
         ),
         local_result=LocalLossResult(
-            loss=batch.local_loss,
-            grad=batch.local_grad,
-            per_sample=batch.local_per_sample,
+            loss=t.local_loss,
+            grad=t.local_grad,
+            per_sample=t.local_per_sample,
             targets=targets,
         ),
     )
@@ -626,7 +654,8 @@ def fit_centroids(
             # local targets and the EMA batch mean
             targets = step_loss.neighbor_targets(X[nbr], centroids, running_mean, params, metric)
             batch_mean = step_loss.neighbor_mean()
-            loss, grad = step_loss.loss(X[idx], centroids, targets, params, metric)
+            terms = step_loss.loss(X[idx], centroids, targets, params, metric)
+            loss, grad = terms.loss, terms.grad
             if not np.isfinite(loss) or not np.isfinite(grad).all():
                 raise NumericalError(
                     f"loss diverged at step {step}: loss={loss!r}; "

@@ -349,6 +349,25 @@ class TestTotalLoss:
         assert t.grad.tobytes() == (g.grad + params.loss_weight * l.grad).tobytes()
         assert t.local_result.targets.tobytes() == local_targets(Xn, state, params, metric).tobytes()
 
+    @pytest.mark.parametrize(
+        "targets, match",
+        [
+            (np.full(4, 0.25), "shape"),
+            (np.full((5, 3), 1 / 3), "shape"),
+            (np.full((4, 4), 0.25), "shape"),
+            (np.array([[0.75, 0.5, -0.25, 0.0]] + [[0.25] * 4] * 4), "non-negative"),
+        ],
+        ids=["one-row", "too-few-columns", "too-few-rows", "negative-entry"],
+    )
+    def test_rejects_malformed_target_override(self, targets, match):
+        rng = np.random.default_rng(14)
+        X = rng.standard_normal((5, 3))
+        with pytest.raises(DataError, match=match):
+            total_loss(
+                X, X, state_of(rng.standard_normal((4, 3))), UsltParams(), "dot",
+                local_targets_override=targets,
+            )
+
     def test_confident_self_neighbor_zero(self):
         c = np.array([[1000.0], [-1000.0]])
         X = np.array([[1.0], [-1.0]])
@@ -547,6 +566,7 @@ def assert_fit_matches_reference(matrix, clusters, params, optimizer, metric):
     assert [(s, c.tobytes()) for s, c in fit.occupancy_history] == [
         (s, c.tobytes()) for s, c in occupancy
     ]
+    assert fit.reseeds == reseeds
     picks = reference_uslt_picks(matrix, state, metric)
     if picks is None:
         with pytest.raises(EmptyClusterError):
@@ -555,6 +575,7 @@ def assert_fit_matches_reference(matrix, clusters, params, optimizer, metric):
     res = select_uslt(matrix, clusters, params, optimizer, metric)
     assert res.indices.tobytes() == picks.tobytes()
     assert res.trace["loss_history"] == losses
+    assert res.trace["reseeds"] == reseeds
     return reseeds
 
 
@@ -581,17 +602,6 @@ class TestReferenceFit:
         optimizer = OptimizerConfig(steps=60, batch_size=64, seed=6, reseed_interval=7)
         reseeds = assert_fit_matches_reference(matrix, 40, UsltParams(), optimizer, metric)
         assert reseeds > 0
-
-
-    def test_reseeds_traced_without_changing_picks(self):
-        matrix = small_mixture(3, 100, 2, seed=1)
-        optimizer = OptimizerConfig(steps=60, batch_size=64, seed=6, reseed_interval=7)
-        state, _, _, reseeds = reference_fit(matrix, 40, UsltParams(), optimizer)
-        assert reseeds > 0
-        assert fit_centroids(matrix, 40, UsltParams(), optimizer).reseeds == reseeds
-        res = select_uslt(matrix, 40, UsltParams(), optimizer)
-        assert res.trace["reseeds"] == reseeds
-        assert res.indices.tobytes() == reference_uslt_picks(matrix, state).tobytes()
 
 
 class TestObservationChecks:
