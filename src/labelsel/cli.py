@@ -176,6 +176,11 @@ def _resolve_uslt(args):
     return params, optimizer, args.metric or "dot"
 
 
+def _check_knn_k(k: int, n: int) -> None:
+    if k > n - 1:  # a kNN graph on n rows has at most n - 1 neighbors per row
+        raise UsageError(f"--k resolves to {k}, but n = {n} rows allow k <= {n - 1}")
+
+
 def cmd_select(args) -> int:
     if args.budget < 1:
         raise UsageError("--budget must be >= 1")
@@ -207,6 +212,7 @@ def cmd_select(args) -> int:
 
     if args.method == "usl":
         params = _resolve_usl_params(args)
+        _check_knn_k(params.k, n)
         result = select_usl(matrix, args.budget, params, threads=args.threads)
         selection = SelectionFile(indices=result.indices)
         report["params"] = _json_clean(asdict(params))
@@ -217,6 +223,7 @@ def cmd_select(args) -> int:
         report["trace"] = _json_clean(result.trace)
     elif args.method == "uslt":
         params, optimizer, metric = _resolve_uslt(args)
+        _check_knn_k(params.neighbor_k, n)
         result = select_uslt(matrix, args.budget, params, optimizer, metric, threads=args.threads)
         selection = SelectionFile(indices=result.indices)
         report["params"] = _json_clean(result.params)

@@ -5,14 +5,13 @@ result), ties in assignment broken toward the lower cluster id, empty
 clusters repaired by re-seeding to the farthest point of the largest
 cluster. The objective is the within-cluster sum of squares.
 
-Every assignment takes one path, at any n * C * d. A fit centres the rows
-on their mean once (``_CentredRows``); each row block of distances is then
-one centred Gram GEMM and one ``argmin``. Rows whose minimum is not
-certified unique and away from zero by a proven rounding slack
-(``_assign_slack``) recompute their near-minimum centroids from coordinate
-differences. Assignments are therefore those of a full difference pass,
-ties to the lower id included, and a point on its centroid reads distance
-0. The k-means++ seeding scores its trials on the same centred rows.
+Every float64 distance from the rows to a few columns (centroids, seeding
+trials, ``usl`` selections) comes from one kernel, ``_sq_dist_blocks``: one
+centred Gram GEMM per row block (a fit centres its rows once,
+``_CentredRows``), with the entries a proven rounding slack
+(``_gram_slack``) cannot certify recomputed from coordinate differences.
+Assignments are therefore those of a full difference pass, ties to the
+lower id included, and a point on its centroid reads distance 0.
 """
 
 from __future__ import annotations
@@ -75,117 +74,141 @@ def _as_data(m) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _CentredRows:
-    """Rows ``X``, their mean ``mu``, the centred copy ``Xc = X - mu`` and its
-    squared row norms ``xx``. Distances are translation invariant, and the
-    centred copy keeps an offset from cancelling digits in a Gram expansion."""
+    """Rows ``X``, their mean ``mu`` and, unless built with ``store=False``,
+    the centred copy ``Xc = X - mu`` and its squared row norms ``xx``, kept
+    for every pass of a fit. Centring keeps an offset from cancelling digits
+    in a Gram expansion; without a stored copy each block is centred as it
+    is used, and no n x d copy is held."""
 
     X: np.ndarray
     mu: np.ndarray
-    Xc: np.ndarray
-    xx: np.ndarray
+    Xc: np.ndarray | None = None
+    xx: np.ndarray | None = None
 
     @classmethod
-    def of(cls, X):
-        mu = X.mean(axis=0)
-        Xc = X - mu
-        return cls(X=X, mu=mu, Xc=Xc, xx=np.einsum("ij,ij->i", Xc, Xc))
+    def of(cls, X, store=True):
+        rows = cls(X=X, mu=X.mean(axis=0))
+        return cls(X, rows.mu, *rows.block(slice(None))) if store else rows
+
+    def block(self, rows):
+        """The centred rows of one block and their squared norms."""
+        if self.Xc is not None:
+            return self.Xc[rows], self.xx[rows]
+        xc = self.X[rows] - self.mu
+        return xc, np.einsum("ij,ij->i", xc, xc)
 
 
-def _assign_slack(xx, cc_max, g1, d):
-    """Per-row bound ``s`` on how far the Gram distances of
-    ``_assign_with_dist`` can stray from the difference-based ones.
+def _gram_slack(xx, cc_max, g, d):
+    """Per-entry bound ``s`` on how far a squared distance ``g`` of
+    ``_sq_dist_blocks`` can stray from the difference-based one.
 
-    Notation: u = 2^-53 (float64 unit roundoff), a and b a row and a
-    centroid centred on the same float64 mean mu, x and c the uncentred
-    ones, D = ||x - c||^2 exactly, O = fl(sum_t fl(x_t - c_t)^2) the
-    difference-based value, A = xx (the row's computed ||a||^2), B = cc_max
-    (the largest computed ||b||^2) and P = ||a||^2 + ||b||^2. The bounds
-    below are first order in u. No float64 underflow or overflow is
-    assumed.
+    Notation: u = 2^-53, a and b a row and a column (centroid, seeding
+    trial or selection) centred on the same float64 mean, x and c the
+    uncentred ones, D = ||x - c||^2 exactly, O = fl(sum_t fl(x_t - c_t)^2)
+    the difference-based value, A = xx (the row's computed ||a||^2), B =
+    cc_max (the largest computed ||b||^2 of the columns), P = ||a||^2 +
+    ||b||^2. First order in u; no float64 underflow or overflow.
 
-    1. Centring. a_t = (x_t - mu_t)(1 + e), |e| <= u, and b_t likewise, so
-       ||(a - b) - (x - c)|| <= u (||a|| + ||b||) and |D - ||a - b||^2| <=
-       4 u P.
-    2. The Gram value H = fl(fl(a . (-2 b)) + cc) of one row and centroid:
-       the d-term dot product, in any order and with or without FMA, is off
-       by at most 2 d u ||a|| ||b|| <= d u P; cc = ||b||^2 within d u P; the
-       addition rounds once more, by at most 2 u P. Since ||b||^2 - 2 a.b +
-       ||a||^2 = ||a - b||^2, with 1: |H + ||a||^2 - D| <= E = (2 d + 6) u
-       (A + B), the same E for every centroid of the row.
-    3. The difference side. O = D (1 + r) with |r| <= delta = (d + 2) u:
-       the rounded difference enters squared, the square rounds once and
-       the sum d - 1 times.
-    4. The reported value g1 = fl(h1 + A), h1 the row's smallest H, is off
-       from h1 + ||a||^2 by at most u |g1| + d u A.
+    1. Centring rounds each coordinate once, so |D - ||a - b||^2| <= 4 u P.
+    2. H = fl(fl(a . (-2 b)) + cc): the d-term dot product, in any order and
+       with or without FMA, is off by at most 2 d u ||a|| ||b|| <= d u P,
+       cc = ||b||^2 by d u P, and the addition by 2 u P more. As ||b||^2 -
+       2 a.b + ||a||^2 = ||a - b||^2, with 1: |H + ||a||^2 - D| <= E =
+       (2 d + 6) u (A + B), the same E for every column of the row.
+    3. O = D (1 + r), |r| <= delta = (d + 2) u: the rounded difference
+       enters squared, the square rounds once and the sum d - 1 times.
+    4. g = fl(H + A) is off from H + ||a||^2 by at most u |g| + d u A.
 
-    s = (3 d + 8) u (A + B + max(g1, 0)) exceeds E + delta (g1 + E) + u |g1|
-    + d u A by at least 2 u (A + B). That covers the rounding of the tests
-    below, at most 2 u P in h1 + 2 s, and, for any d below 10^7, the
-    second-order terms. So:
+    s = (3 d + 8) u (A + B + max(g, 0)) exceeds E + delta (g + E) + u |g| +
+    d u A by at least 2 u (A + B), which covers the rounding of the tests
+    that use s and, for d below 10^7, the second-order terms. So:
 
-    * Near-ties. A centroid j with H_j > h1 + 2 s has, by 2 and 3, O_j >=
-      (1 - delta)(H_j + ||a||^2 - E) > (1 + delta)(h1 + ||a||^2 + E) >=
-      O_n, n the Gram argmin: j is never a difference-based minimum.
-    * Coincidence. O_j = 0 only when x = c, so D = 0 and g1 <= s by 2 and
-      4: a row whose g1 exceeds 2 s has no coincident centroid.
-    * The value. |g1 - O_n| <= s by 2, 3 and 4.
+    * Value: |g - O| <= s by 2, 3 and 4.
+    * Order: g_j > g_i + 2 s_i (s_i at g_i) gives O_j >= (1 - delta)(g_j -
+      E - u |g_j| - d u A) > (1 + delta)(g_i + E + u |g_i| + d u A) >= O_i.
+    * Coincidence: O = 0 only when x = c, so D = 0 and g <= s by 2 and 4.
     """
-    return (3 * d + 8) * 2.0**-53 * (xx + cc_max + np.maximum(g1, 0.0))
+    return (3 * d + 8) * 2.0**-53 * (xx + cc_max + np.maximum(g, 0.0))
 
 
-def _exact_nearest(x, C, h, limit):
-    """For each row of ``x`` with a Gram value in ``h`` at or below its
-    ``limit``: the row, its nearest centroid among those, by squared
-    distances recomputed from coordinate differences and ties to the lower
-    id, and that distance. The differences are gathered in blocks of at
-    most _ROW_BLOCK_BYTES, however many centroids tie."""
-    r, c = np.nonzero(h <= limit[:, None])
-    d2 = np.empty(r.size)
-    for part in _row_blocks(r.size, 8 * x.shape[1]):
-        diff = x[r[part]] - C[c[part]]
-        d2[part] = (diff * diff).sum(axis=1)
-    pick = np.lexsort((c, d2, r))[np.flatnonzero(np.diff(r, prepend=-1))]
-    return r[pick], c[pick], d2[pick]
+def _sq_dist_blocks(rows: _CentredRows, C, nearest=None, floor=2.0):
+    """Squared distances g from every row to every row of ``C`` (the
+    columns), one row block at a time: yields (block, g).
 
-
-def _assign_with_dist(rows: _CentredRows, C):
-    """Assignment plus each point's squared distance to its centroid.
-
-    Each row block takes one GEMM on the centred rows and centroids and one
-    ``argmin``. A row whose Gram minimum is not unique by more than 2 s, or
-    lies within 2 s of zero (s from ``_assign_slack``), recomputes its
-    near-minimum centroids from coordinate differences and takes their exact
-    minimum, ties to the lower id. The assignment is then the one a full
-    difference pass gives, a point that coincides with its centroid reads
-    exactly 0, and every other distance is within s of the difference-based
-    one. Neither the n x C x d differences nor the n x C distances are ever
-    built whole.
+    One GEMM per block on the centred rows and columns puts each g within s
+    of its difference-based value (``_gram_slack``). Recomputed from
+    coordinate differences are: every g <= floor * s (floor = 2 makes a
+    coincident pair read exactly 0; a larger floor leaves every other entry
+    relatively accurate to 1 / (floor - 1)); and, for the rule "the
+    ``nearest`` h columns" (h < len(C) unless h = 1), in each row whose h-th
+    smallest g is not below the next by more than 2 s (s at the h-th), every
+    entry up to 2 s above the h-th. Keeping a row's h smallest g, ties to the
+    lower column (``argmin``, ``usl._nearest``), then keeps the columns of a
+    full difference pass: in a certified row they lie more than 2 s below
+    the rest (the order bound); in any other, every candidate is exact and h
+    of them lie below every entry left from the GEMM. No n x len(C) array is
+    built.
     """
-    X, Xc, xx = rows.X, rows.Xc, rows.xx
+    X = rows.X
     n, d = X.shape
+    m = C.shape[0]
     Cc = C - rows.mu
     cc = np.einsum("ij,ij->i", Cc, Cc)
     cc_max = float(cc.max())
     Cc *= -2.0
+    # g <= floor * k (xx + cc_max + g) for g up to floor * k (xx + cc_max) /
+    # (1 - floor * k), and floor * k < 1 for d below 10^7 and floor <= 2^27
+    k = _gram_slack(0.0, 0.0, 1.0, d)
+    floor_coef = floor * k / (1.0 - floor * k)
+    for block in _row_blocks(n, 8 * m):
+        xc, xx = rows.block(block)
+        # without a rule no pass runs along the rows, and the transposed
+        # product keeps every pass on long rows when the columns are few
+        g = xc @ Cc.T if nearest else (Cc @ xc.T).T
+        g += cc
+        g += xx[:, None]
+        limit = floor_coef * (xx + cc_max)
+        if nearest is None:
+            # a scalar bound first: a row-wise compare is slow on few columns
+            r, c = np.divmod(np.flatnonzero(g <= limit.max()), m)
+            below = g[r, c] <= limit[r]
+            r, c = r[below], c[below]
+        else:
+            if nearest == 1:  # argmin: faster than min or partition on few columns
+                r = np.arange(xx.size)
+                j = np.argmin(g, axis=1)
+                low = hth = g[r, j]
+                g[r, j] = np.inf
+                after = g[r, np.argmin(g, axis=1)]
+                g[r, j] = hth
+            else:
+                # one kth: np.partition is several times slower with more
+                ranked = np.partition(g, nearest, axis=1)
+                low, hth = ranked[:, :nearest].min(axis=1), ranked[:, :nearest].max(axis=1)
+                after = ranked[:, nearest].copy()
+                del ranked
+            twice = 2.0 * _gram_slack(xx, cc_max, hth, d)
+            uncertified = after - hth <= twice
+            limit[uncertified] = np.maximum(limit, hth + twice)[uncertified]
+            some = np.flatnonzero(low <= limit)
+            r, c = np.divmod(np.flatnonzero(g[some] <= limit[some, None]), m)
+            r = some[r]
+        for chunk in _row_blocks(r.size, 8 * d):  # differences in 2 MiB blocks
+            diff = X[block][r[chunk]] - C[c[chunk]]
+            g[r[chunk], c[chunk]] = (diff * diff).sum(axis=1)
+        yield block, g
+
+
+def _assign_with_dist(rows: _CentredRows, C):
+    """Assignment plus each point's squared distance to its centroid: the
+    row ``argmin`` of the certified distances, ties to the lower id."""
+    n = rows.X.shape[0]
     assignment = np.empty(n, dtype=np.int64)
     best = np.empty(n)
-    for block in _row_blocks(n, 8 * C.shape[0]):
-        h = Xc[block] @ Cc.T
-        h += cc
-        nearest = np.argmin(h, axis=1)
-        r = np.arange(nearest.size)
-        h1 = h[r, nearest]
-        h[r, nearest] = np.inf
-        gap = h.min(axis=1) - h1
-        g1 = h1 + xx[block]
-        twice = 2.0 * _assign_slack(xx[block], cc_max, g1, d)
-        near = (gap <= twice) | (g1 <= twice)
-        if near.any():
-            h[r, nearest] = h1
-            limit = np.where(near, h1 + twice, -np.inf)
-            hit, nearest[hit], g1[hit] = _exact_nearest(X[block], C, h, limit)
+    for block, g in _sq_dist_blocks(rows, C, nearest=1):
+        nearest = np.argmin(g, axis=1)
         assignment[block] = nearest
-        best[block] = g1
+        best[block] = g[np.arange(nearest.size), nearest]
     return assignment, best
 
 
@@ -225,50 +248,30 @@ def objective_value(m, centroids: np.ndarray, assignment: np.ndarray) -> float:
     return float((diff * diff).sum())
 
 
-def _centred_sq_dists(A, B, Ac, Bc, aa, bb, margin=1.0):
-    """len(A) x len(B) squared distances between the rows of A and B.
-
-    One Gram-expansion GEMM on the copies ``Ac``/``Bc`` centred on a common
-    point (``aa``/``bb`` hold their squared row norms), clamped at 0. Each
-    entry carries an absolute rounding error of at most about (d + 2) * eps
-    * (|a|^2 + |b|^2): the dot product and both norms are d-term sums, and
-    two more roundings come from the additions. Entries at or below
-    ``margin`` times twice that bound are recomputed from coordinate
-    differences of A and B: every pair that coincides comes out exactly 0,
-    and every entry kept from the GEMM has a relative error below
-    1 / (2 * margin).
-    """
-    d2 = Ac @ Bc.T
-    d2 *= -2.0
-    scale = aa[:, None] + bb[None, :]
-    d2 += scale
-    np.maximum(d2, 0.0, out=d2)
-    scale *= margin * 2.0 * (A.shape[1] + 2) * np.finfo(np.float64).eps
-    r, c = np.divmod(np.flatnonzero(d2 <= scale), d2.shape[1])
-    diff = A[r] - B[c]
-    d2[r, c] = (diff * diff).sum(axis=1)
-    return d2
-
-
 def kmeanspp_init(X: np.ndarray, clusters: int, rng: np.random.Generator) -> np.ndarray:
     """Greedy k-means++ seeding.
 
     Each step draws 2 + floor(log2 C) candidates D^2-proportionally and
     keeps the one that lowers the potential most (the first such trial on
-    ties). All of a step's trials are scored by one trials x n Gram GEMM on
-    the centred data, with entries below the float64 cancellation floor
-    recomputed exactly from differences, so chosen points and their
-    duplicates have D^2 exactly 0 and are never drawn again. Degenerate
-    (all-zero) mass falls back to the lowest unchosen index.
+    ties). A step's trials are the columns of one pass of the distance
+    kernel with the exact-zero floor, so chosen points and their duplicates
+    have D^2 exactly 0 and are never drawn again. Degenerate (all-zero)
+    mass falls back to the lowest unchosen index.
     """
-    X = np.asarray(X, dtype=np.float64)
+    return _kmeanspp(_CentredRows.of(np.asarray(X, dtype=np.float64)), clusters, rng)
+
+
+def _kmeanspp(rows: _CentredRows, clusters, rng):
+    """kmeanspp_init on rows a fit has already centred."""
+    X = rows.X
     n = X.shape[0]
     trials = 2 + int(np.log2(max(clusters, 2)))
-    centred = _CentredRows.of(X)
-    Xc, xx = centred.Xc, centred.xx
 
-    def sq_dists_from(rows):
-        return _centred_sq_dists(X[rows], X, Xc[rows], Xc, xx[rows], xx)
+    def sq_dists_from(idx):
+        out = np.empty((idx.size, n))
+        for block, g in _sq_dist_blocks(rows, X[idx]):
+            out[:, block] = g.T
+        return out
 
     chosen = np.empty(clusters, dtype=np.int64)
     chosen[0] = rng.integers(n)
@@ -331,14 +334,14 @@ def kmeans_fit(
     if not np.isfinite(X).all():
         raise DataError("non-finite value in input matrix")
     rng = np.random.default_rng(seed)
+    rows = _CentredRows.of(X)
     if init == "kmeanspp":
-        centroids = kmeanspp_init(X, clusters, rng)
+        centroids = _kmeanspp(rows, clusters, rng)
     elif init == "random_points":
         centroids = random_points_init(X, clusters, rng)
     else:
         raise DataError(f"unknown init {init!r}")
 
-    rows = _CentredRows.of(X)
     XT = np.ascontiguousarray(X.T)
     assignment, best = _assign_with_dist(rows, centroids)
     prev = float(best.sum())

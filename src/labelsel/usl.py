@@ -7,6 +7,11 @@ total inverse distance to the instances currently selected in *other*
 clusters, and the per-cluster argmax is re-picked. The loop starts from the
 plain utility argmax and the EMA accumulator starts at zero, so zero
 iterations (or a zero penalty weight) reproduce the unregularized pick.
+
+Candidate-to-selection distances come from k-means' certified float64
+kernel (``kmeans._sq_dist_blocks``) in row blocks, at any n * m * d: close
+pairs and near-ties at the horizon's h-th distance are recomputed from
+coordinate differences, and ``_nearest`` keeps the lower column on ties.
 """
 
 from __future__ import annotations
@@ -16,17 +21,15 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .density import _row_blocks, knn_utility_scores, UtilityScores
+from .density import knn_utility_scores, UtilityScores
 from .errors import DataError, EmptyClusterError
 from .io import EmbeddingMatrix
-from .kmeans import Clustering, _centred_sq_dists, kmeans_fit
+from .kmeans import Clustering, _CentredRows, _sq_dist_blocks, kmeans_fit
 
-# difference path up to this n * m * d volume, Gram expansion above
-_REG_DIRECT_LIMIT = 1 << 24
-# Gram entries within this factor of their rounding bound are recomputed
-# from differences, so every kept squared distance is relatively accurate
-# to 2^-27: the penalty 1 / dist^alpha magnifies the error of close pairs
-_REG_EXACT_MARGIN = 2.0**26
+# the distance kernel's accuracy floor: every squared distance kept from
+# its GEMM is relatively accurate to 2^-27, as the penalty 1 / dist^alpha
+# magnifies the error of close pairs
+_REG_EXACT_MARGIN = 2.0**27
 
 
 @dataclass(frozen=True)
@@ -165,7 +168,8 @@ def regularize_utilities(
     and returns (penalized utilities, new accumulator). Candidates that
     coincide with another cluster's selection would receive an infinite
     penalty; they are excluded from this round (score -inf) with a warning
-    while the accumulator keeps only their finite contributions.
+    while the accumulator keeps only their finite contributions;
+    ``select_usl`` counts them as ``trace["reg_excluded"]``.
     """
     X = matrix.data
     n = X.shape[0]
@@ -176,37 +180,16 @@ def regularize_utilities(
     sel_clusters = clustering.assignment[selected]
     if np.unique(sel_clusters).size != m:
         raise DataError("selected instances must cover every cluster exactly once")
-    sel_X = X[selected]
     assignment = clustering.assignment
-    h = params.horizon
+    h = params.horizon if params.horizon is not None and params.horizon < m else None
     reg = np.empty(n)
     excluded: list[int] = []
-    d = X.shape[1]
-    # Gram expansion for bulk distances at scale, on rows centred on the
-    # data mean so that an offset does not cancel digits; near-cancelling
-    # entries are recomputed from differences, which keeps coincidence
-    # detection exact.
-    use_gemm = n * m * d > _REG_DIRECT_LIMIT
-    if use_gemm:
-        centre = X.mean(axis=0)
-        sel_c = sel_X - centre
-        sel_sq = np.einsum("ij,ij->i", sel_c, sel_c)
-
-    for rows in _row_blocks(n, 8 * m * (1 if use_gemm else d)):
-        xb = X[rows]
-        if use_gemm:
-            xc = xb - centre
-            dist = _centred_sq_dists(
-                xb, sel_X, xc, sel_c, np.einsum("ij,ij->i", xc, xc), sel_sq,
-                _REG_EXACT_MARGIN,
-            )
-            np.sqrt(dist, out=dist)
-        else:
-            diff = xb[:, None, :] - sel_X[None, :, :]
-            dist = np.sqrt(np.einsum("bjd,bjd->bj", diff, diff))
-            del diff
+    for rows, dist in _sq_dist_blocks(
+        _CentredRows.of(X, store=False), X[selected], nearest=h, floor=_REG_EXACT_MARGIN
+    ):
+        np.sqrt(dist, out=dist)
         eligible = assignment[rows, None] != sel_clusters[None, :]
-        if h is not None and h < m:
+        if h is not None:
             eligible &= _nearest(dist, h)
         zero_pairs = eligible & (dist == 0.0)
         if zero_pairs.any():
@@ -218,7 +201,7 @@ def regularize_utilities(
             np.divide(1.0, inv, out=inv)
         inv[~eligible] = 0.0
         reg[rows] = inv.sum(axis=1)
-        del dist, eligible, inv  # free this block before the next is built
+        del eligible, inv  # free this block's temporaries before the next is built
 
     new_state = params.momentum * reg_state + (1.0 - params.momentum) * reg
     u_prime = utilities.utility - params.reg_lambda * new_state
@@ -255,10 +238,12 @@ def select_usl(
     selected = repick_per_cluster(util.utility, clustering)
     history = [(selected.copy(), util.utility[selected].copy())]
     reg_state = np.zeros(n)
+    reg_excluded = 0  # finite utilities: only exclusion makes a score -inf
     for _ in range(params.iterations):
         u_prime, reg_state = regularize_utilities(
             matrix, util, clustering, selected, reg_state, params
         )
+        reg_excluded += int(np.count_nonzero(u_prime == -np.inf))
         selected = repick_per_cluster(u_prime, clustering)
         history.append((selected.copy(), u_prime[selected].copy()))
 
@@ -267,6 +252,7 @@ def select_usl(
         "kmeans_iterations": int(clustering.iterations_run),
         "generator": clustering.generator,
         "knn_fallback_rows": util.fallback_rows,
+        "reg_excluded": reg_excluded,
         "utility_summary": {
             "selected_mean": float(util.utility[selected].mean()),
             "selected_min": float(util.utility[selected].min()),

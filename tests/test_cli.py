@@ -87,6 +87,32 @@ class TestSelect:
              "--out", tmp_path / "s.txt"]
         ) == 1
 
+    @pytest.mark.parametrize("method", ["usl", "uslt"])
+    def test_profile_k_not_below_n_usage_error(self, tmp_path, monkeypatch, capsys, method):
+        # 300 rows: the small USL profile's k = 400, and --k 300 for USL-T
+        emb = tmp_path / "x.fvecs"
+        assert run(
+            ["synth", "--modes", 3, "--per-mode", 100, "--out-embeddings", emb,
+             "--out-labels", tmp_path / "y.txt"]
+        ) == 0
+        k = 400 if method == "usl" else 300
+        flags = [] if method == "usl" else ["--k", k]
+
+        def no_selection(*args, **kwargs):
+            raise AssertionError("selection (and its kNN work) started")
+
+        monkeypatch.setattr("labelsel.cli.select_usl", no_selection)
+        monkeypatch.setattr("labelsel.cli.select_uslt", no_selection)
+        capsys.readouterr()
+        assert run(
+            ["select", "--method", method, "--embeddings", emb, "--budget", 10,
+             *flags, "--out", tmp_path / "s.txt"]
+        ) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--k" in err
+        assert f"resolves to {k}" in err and "n = 300" in err
+        assert not (tmp_path / "s.txt").exists()
+
     def test_same_seed_byte_identical(self, synth_files, tmp_path):
         emb, _ = synth_files
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

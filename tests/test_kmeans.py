@@ -107,7 +107,7 @@ def assignment_faults(X, C, assignment, d2):
     rows = kmeans._CentredRows.of(X)
     Cc = C - rows.mu
     cc_max = float(np.einsum("ij,ij->i", Cc, Cc).max())
-    slack = kmeans._assign_slack(rows.xx, cc_max, d2, X.shape[1])
+    slack = kmeans._gram_slack(rows.xx, cc_max, d2, X.shape[1])
     bad = (assignment != want) | (np.abs(d2 - want_d2) > slack) | ((want_d2 == 0) & (d2 != 0))
     return np.flatnonzero(bad)
 

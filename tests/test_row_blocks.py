@@ -24,7 +24,7 @@ from labelsel import (
     select_usl,
     select_uslt,
 )
-from labelsel import density, kmeans, usl, uslt
+from labelsel import density, kmeans, uslt
 from labelsel.density import UtilityScores
 from labelsel.kmeans import Clustering
 
@@ -60,16 +60,11 @@ def fingerprint(matrix, budget):
 
 class TestBlockBudgetInvariance:
     @pytest.mark.parametrize("rows", [2, 3, 7])
-    @pytest.mark.parametrize("branch", ["direct", "gram"])
-    def test_outputs_byte_identical_to_default_budget(self, monkeypatch, rows, branch):
-        # the branch is regularization's; k-means assignment has one path
-        limit = 0 if branch == "gram" else 1 << 40
-        monkeypatch.setattr(usl, "_REG_DIRECT_LIMIT", limit)
+    def test_outputs_byte_identical_to_default_budget(self, monkeypatch, rows):
         matrix = mixture(12, 25, 6, seed=11)
         default = fingerprint(matrix, 12)
         # `rows` rows of an n x 12 float64 matrix per block (a one-row GEMM
-        # block would go to BLAS GEMV, which sums in another order); one row
-        # of the n x 12 x 6 difference arrays
+        # block would go to BLAS GEMV, which sums in another order)
         monkeypatch.setattr(density, "_ROW_BLOCK_BYTES", rows * 8 * 12)
         blocked = fingerprint(matrix, 12)
         for key in default:
@@ -103,10 +98,11 @@ class TestTwoRowFloor:
 
 class TestPeakMemory:
     """At n=5,000 and m=1,000 one n x m float64 matrix is 40 MB; each stage
-    must peak below a quarter of that. The d=3 cases take regularization's
-    difference branch, whose full n x m x d array would be 120 MB. In the
-    k-means assignment 1,000 rows sit on a centroid, so each of them
-    recomputes its nearest centroids from differences."""
+    must peak below a quarter of that. The d=3 cases run through the
+    distance kernel as the d=64 ones do; a full n x m x d difference array
+    would be 120 MB there. In the k-means assignment 1,000 rows sit on a
+    centroid, so each of them recomputes its nearest centroids from
+    differences."""
 
     n, m = 5000, 1000
     limit = n * m * 8 / 4

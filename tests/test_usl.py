@@ -209,6 +209,40 @@ class TestRegularizeUtilities:
             ]
             assert state[i] == pytest.approx(sum(1.0 / dist[j] for j in kept), rel=1e-12)
 
+    @pytest.mark.parametrize("h", [1, 5])
+    def test_horizon_penalty_matches_lexsort_oracle_at_scale(self, h):
+        # n * m * d = 17.1M, above the 2^24 volume from which regularization
+        # once took a Gram branch that broke horizon ties by rounding
+        rng = np.random.default_rng(7)
+        n, m = 190_000, 30
+        X = rng.integers(0, 3, size=(n, 3)).astype(np.float64)
+        assignment = np.concatenate([np.arange(m), rng.integers(0, m, size=n - m)])
+        rng.shuffle(assignment)
+        cl = Clustering(
+            num_clusters=m, assignment=assignment, centroids=np.zeros((m, 3)),
+            objective=0.0, iterations_run=0,
+        )
+        selected = np.array([np.flatnonzero(assignment == c)[0] for c in range(m)])
+        util = UtilityScores(mean_knn_distance=np.ones(n), utility=np.ones(n))
+        params = UslParams(k=1, reg_alpha=1.0, momentum=0.0, iterations=1, horizon=h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # lattice rows repeat selections
+            _, state = regularize_utilities(
+                EmbeddingMatrix(data=X), util, cl, selected, np.zeros(n), params
+            )
+        # the lower-column oracle on the 27 lattice points: a lexsort on
+        # (column, distance) of their difference-based distances
+        points, inverse = np.unique(X, axis=0, return_inverse=True)
+        dist = np.sqrt(((points[:, None, :] - X[selected][None, :, :]) ** 2).sum(axis=2))
+        columns = np.broadcast_to(np.arange(m), dist.shape)
+        nearest = np.lexsort((columns, dist), axis=1)[:, :h]
+        kept = np.zeros(dist.shape, dtype=bool)
+        np.put_along_axis(kept, nearest, True, axis=1)
+        dist, kept = dist[inverse.ravel()], kept[inverse.ravel()]
+        kept &= (assignment[:, None] != assignment[selected][None, :]) & (dist > 0)
+        expected = (kept / np.where(kept, dist, 1.0)).sum(axis=1)
+        np.testing.assert_allclose(state, expected, rtol=1e-12)
+
     def test_gram_branch_matches_differences_on_offset_data(self):
         # n * m * d = 20.5M takes the Gram branch; at a 1000 offset an
         # uncentred expansion loses about six of the 16 digits
@@ -268,6 +302,35 @@ class TestSelectUsl:
         assert fallback > 0
         assert preselect.trace["knn_fallback_rows"] == fallback
         np.testing.assert_array_equal(preselect.indices, direct.indices)
+
+    def test_reg_excluded_traced_without_changing_picks(self, monkeypatch):
+        # test_coincident_candidate_excluded_with_warning's input, lifted onto
+        # the unit sphere by p -> (p, 1) / |(p, 1)|, which keeps coincident
+        # points coincident and distinct points distinct
+        X = np.array([[0.0, 0.0], [0.1, 0.0], [1.0, 0.0], [1.0, 1e-13]])
+        m = EmbeddingMatrix(data=X)
+        u = utility_scores(build_knn_graph(m, 1, jitter=True, seed=0))
+        cl = kmeans_fit(m, 2, seed=0)
+        sel = repick_per_cluster(u.utility, cl)
+        dup = X.copy()
+        dup[0] = X[sel[1 - cl.assignment[0]]]
+        lifted = l2_normalize(EmbeddingMatrix(data=np.hstack([dup, np.ones((4, 1))])))
+        # the kNN stage rejects the duplicate row: reuse that test's stages
+        monkeypatch.setattr(usl, "knn_utility_scores", lambda *args, **kwargs: u)
+        monkeypatch.setattr(usl, "kmeans_fit", lambda *args, **kwargs: cl)
+        params = UslParams(k=1, reg_lambda=1.0, reg_alpha=0.5, momentum=0.0, iterations=3)
+        with pytest.warns(UserWarning, match="coincide"):
+            res = select_usl(lifted, 2, params)
+        # round 1 excludes candidates 0 and 2, each on the other cluster's
+        # pick; round 2 excludes nothing; round 3 candidate 0 again
+        assert res.trace["reg_excluded"] == 3
+        picks, state = sel, np.zeros(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for _ in range(params.iterations):
+                scores, state = regularize_utilities(lifted, u, cl, picks, state, params)
+                picks = repick_per_cluster(scores, cl)
+        np.testing.assert_array_equal(res.indices, picks)
 
     @settings(max_examples=25, deadline=None)
     @given(
