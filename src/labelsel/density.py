@@ -29,13 +29,16 @@ entry), which USL-T needs for its neighbor ids. ``knn_utility_scores``'s
 sink checks each block's rows as NeighborGraph does and reduces them to
 their mean distance, so USL and the report hold no n x k array.
 
-The Gram block and its ``argpartition`` are a worker's largest scratch,
-QUERY_BLOCK * n * 12 bytes (full rows of distances and their ranking take
-QUERY_BLOCK * n * 24 bytes, with n <= k + CANDIDATE_PAD + 1). QUERY_BLOCK
-is a row count, not a byte budget: fewer rows cost CPU, because BLAS packs
-the whole n-row GEMM operand on every call. 128 rows keeps the kNN stage
-within noise of 512-row blocks at n=10,000 and within about 15% at
-n=5,000, at a quarter of the memory.
+Every worker multiplies its query rows by one shared float32 operand,
+(d + 2) x n (``_GramOperands``). The float32 Gram block is a worker's
+largest scratch, QUERY_BLOCK * n * 4 bytes; ``argpartition`` works row by
+row, so it runs over row slices of the block whose int64 output stays
+within _ROW_BLOCK_BYTES (two rows at least). Full rows of distances and
+their ranking take QUERY_BLOCK * n * 24 bytes, with n <= k + CANDIDATE_PAD
++ 1. QUERY_BLOCK is a row count, not a byte budget: fewer rows cost CPU,
+because BLAS packs the whole n-row GEMM operand on every call. 128 rows
+keeps the kNN stage within noise of 512-row blocks at n=10,000 and within
+about 15% at n=5,000, at a quarter of the memory.
 
 Exact distances are computed in tiles of at most EXACT_TILE_BYTES of
 differences, over rows and candidates, so a row recomputed against every
@@ -211,17 +214,19 @@ def _block_direct(X, i0, i1, k):
 
 @dataclass(frozen=True)
 class _GramOperands:
-    """Float32 factors of the squared-distance matrix of the centred rows.
+    """The float32 factor of the squared-distance matrix of the centred
+    rows that every query block multiplies.
 
     ``a`` = s * (X - mean) with s a power of two that brings the largest
     magnitude into [0.5, 1), so the float32 copy neither overflows nor
-    underflows in bulk, and the scaling itself is exact. ``query[i] @
-    base[:, j]`` = ||a_i||^2 + ||a_j||^2 - 2 a_i.a_j = s^2 ||x_i - x_j||^2.
-    ``base`` is stored (d + 2) x n, so each block's GEMM reads it without a
-    transpose, which OpenBLAS packs faster.
+    underflows in bulk, and the scaling itself is exact. ``base`` holds
+    [-2a, ||a||^2, 1] transposed, (d + 2) x n, so each block's GEMM reads it
+    without a transpose, which OpenBLAS packs faster. A block's query rows
+    [a, 1, ||a||^2] (``query``) are rebuilt from base's columns, exactly, as
+    every entry of -2a is twice a float32, and ``query(i0, i1) @ base[:, j]``
+    = ||a_i||^2 + ||a_j||^2 - 2 a_i.a_j = s^2 ||x_i - x_j||^2.
     """
 
-    query: np.ndarray  # [a, 1, ||a||^2], float32
     base: np.ndarray  # [-2a, ||a||^2, 1] transposed, float32
     sq: np.ndarray  # ||a||^2 of the float32 rows, float64 (exact products)
     sq_max: float
@@ -229,20 +234,33 @@ class _GramOperands:
 
     @classmethod
     def of(cls, X):
+        n, d = X.shape
         centred = X - X.mean(axis=0)
-        peak = float(np.abs(centred).max())
+        peak = max(float(centred.max()), -float(centred.min()))
         scale = math.ldexp(1.0, -math.frexp(peak)[1]) if peak > 0 else 1.0
-        a = (centred * scale).astype(np.float32)
-        sq = np.einsum("ij,ij->i", a, a, dtype=np.float64)
-        sq32 = sq.astype(np.float32)[:, None]
-        one = np.ones_like(sq32)
-        return cls(
-            query=np.hstack([a, one, sq32]),
-            base=np.vstack([-2.0 * a.T, sq32.T, one.T]),
-            sq=sq,
-            sq_max=float(sq.max()),
-            scale=scale,
-        )
+        centred *= scale
+        base = np.empty((d + 2, n), dtype=np.float32)
+        sq = np.empty(n)
+        # the float32 rows one block at a time: einsum sums each row on its
+        # own, so the norms are those of a whole float32 copy, never held
+        for rows in _row_blocks(n, 8 * d):
+            a = centred[rows].astype(np.float32)
+            sq[rows] = np.einsum("ij,ij->i", a, a, dtype=np.float64)
+            np.multiply(a.T, -2.0, out=base[:d, rows])
+            del a  # before the next block's copy
+        del centred
+        base[d] = sq
+        base[d + 1] = 1.0
+        return cls(base=base, sq=sq, sq_max=float(sq.max()), scale=scale)
+
+    def query(self, i0, i1):
+        """The C-contiguous float32 query rows [a, 1, ||a||^2] of i0:i1."""
+        d = self.base.shape[0] - 2
+        q = np.empty((i1 - i0, d + 2), dtype=np.float32)
+        np.multiply(self.base[:d, i0:i1].T, -0.5, out=q[:, :d])
+        q[:, d] = 1.0
+        q[:, d + 1] = self.base[d, i0:i1]
+        return q
 
 
 def _certificate_slack(g, sq_query, sq_max, d):
@@ -298,17 +316,28 @@ def _certificate_slack(g, sq_query, sq_max, d):
     )
 
 
+def _partition_rows(gram, kp):
+    """The kp smallest columns of each row of ``gram``, sorted, and the
+    row's smallest excluded value; the n-wide ``argpartition`` output is
+    freed on return."""
+    part = np.argpartition(gram, kp, axis=1)
+    return np.sort(part[:, :kp], axis=1), gram[np.arange(gram.shape[0]), part[:, kp]]
+
+
 def _block_preselect(X, ops, i0, i1, k):
     """Rows i0:i1 by certified preselection; also returns the number of
     rows recomputed in full."""
     kp = k + CANDIDATE_PAD
-    rows = np.arange(i1 - i0)
-    gram = ops.query[i0:i1] @ ops.base
-    gram[rows, np.arange(i0, i1)] = np.inf
-    part = np.argpartition(gram, kp, axis=1)
-    cand = np.sort(part[:, :kp], axis=1)
-    excluded = gram[rows, part[:, kp]].astype(np.float64)
-    del gram, part  # free the block x n arrays before the recompute
+    b, n = i1 - i0, X.shape[0]
+    gram = ops.query(i0, i1) @ ops.base
+    gram[np.arange(b), np.arange(i0, i1)] = np.inf
+    cand = np.empty((b, kp), dtype=np.int64)
+    excluded = np.empty(b)
+    # argpartition works row by row, so slices of rows give the full
+    # block's candidates and excluded values with a 2 MiB int64 output
+    for s in _row_blocks(b, 8 * n):
+        cand[s], excluded[s] = _partition_rows(gram[s], kp)
+    del gram  # free the block x n array before the recompute
     nbr, nbd = _rank_candidates(_exact_block(X, i0, i1, cand), cand, k)
 
     slack = _certificate_slack(excluded, ops.sq[i0:i1], ops.sq_max, X.shape[1])
@@ -368,7 +397,9 @@ def _stream_rows(m, k, threads, sink, jitter=False, seed=0) -> int:
         if not jitter or attempt == 1:
             raise DuplicatePointsError(dup.tolist())
         rng = np.random.default_rng(seed)
-        X = m.data + rng.uniform(-JITTER_SCALE, JITTER_SCALE, size=m.data.shape)
+        # noise + data has the bits of data + noise, in one n x d array
+        X = rng.uniform(-JITTER_SCALE, JITTER_SCALE, size=m.data.shape)
+        X += m.data
     raise AssertionError("unreachable")
 
 

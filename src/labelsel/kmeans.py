@@ -243,9 +243,13 @@ def _update_from_columns(XT, assignment, clusters):
 
 
 def objective_value(m, centroids: np.ndarray, assignment: np.ndarray) -> float:
+    """Within-cluster sum of squares, sum((X - C[a])^2), computed in place
+    in one gathered n x d array."""
     X = _as_data(m)
-    diff = X - np.asarray(centroids)[np.asarray(assignment, dtype=np.int64)]
-    return float((diff * diff).sum())
+    diff = np.asarray(centroids, dtype=np.float64)[np.asarray(assignment, dtype=np.int64)]
+    np.subtract(X, diff, out=diff)
+    np.multiply(diff, diff, out=diff)
+    return float(diff.sum())
 
 
 def kmeanspp_init(X: np.ndarray, clusters: int, rng: np.random.Generator) -> np.ndarray:
@@ -368,6 +372,7 @@ def kmeans_fit(
         counts = np.bincount(assignment, minlength=clusters)
         if (counts == 0).any():
             raise EmptyClusterError(np.flatnonzero(counts == 0).tolist())
+    del XT, rows  # the objective's n x d array is the only one left
     return Clustering(
         num_clusters=clusters,
         assignment=assignment,

@@ -9,6 +9,7 @@ checked against the kernels it must agree with bit for bit.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -24,6 +25,17 @@ def brute_force_graph(X, k):
     order = np.lexsort((idx, dist), axis=1)[:, :k]
     rows = np.arange(n)[:, None]
     return idx[rows, order], dist[rows, order]
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes traced by ``tracemalloc`` while ``fn(*args, **kwargs)``
+    runs (numpy buffers included, BLAS-internal ones not)."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def sign_lattice():

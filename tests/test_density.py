@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -25,7 +24,7 @@ from labelsel import (
 
 from labelsel import density
 
-from helpers import brute_force_graph, sign_lattice
+from helpers import brute_force_graph, sign_lattice, traced_peak
 
 
 def graph_from(X, k, **kw):
@@ -96,6 +95,20 @@ class TestBuildKnnGraph:
         g = graph_from(X, 1, jitter=True, seed=0)
         assert (g.distances > 0).all()
         assert g.distances.max() < 2.0
+
+    def test_jitter_copy_matches_noise_oracle(self):
+        # the retry adds the data into the drawn noise: the bits of data + noise
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((300, 5))
+        X[150:160] = X[:10]
+        noise = np.random.default_rng(4).uniform(
+            -density.JITTER_SCALE, density.JITTER_SCALE, size=X.shape
+        )
+        want = graph_from(X + noise, 8)
+        g = graph_from(X, 8, jitter=True, seed=4)
+        assert g.neighbors.tobytes() == want.neighbors.tobytes()
+        assert g.distances.tobytes() == want.distances.tobytes()
+        assert g.fallback_rows == want.fallback_rows
 
     def test_thread_count_bit_identical(self):
         rng = np.random.default_rng(2)
@@ -307,6 +320,86 @@ class TestRankCandidates:
             assert nbd[r].tolist() == dist[r, want].tolist()
 
 
+class TestGramOperands:
+    """One stored float32 operand: ``base`` and the norms equal the
+    two-operand construction, and every block's query rows rebuilt from
+    base's columns equal its float32 rows [a, 1, ||a||^2]."""
+
+    @staticmethod
+    def two_operands(X):
+        centred = X - X.mean(axis=0)
+        peak = float(np.abs(centred).max())
+        scale = math.ldexp(1.0, -math.frexp(peak)[1]) if peak > 0 else 1.0
+        a = (centred * scale).astype(np.float32)
+        sq = np.einsum("ij,ij->i", a, a, dtype=np.float64)
+        sq32 = sq.astype(np.float32)[:, None]
+        one = np.ones_like(sq32)
+        return np.hstack([a, one, sq32]), np.vstack([-2.0 * a.T, sq32.T, one.T]), sq, scale
+
+    @pytest.mark.parametrize("block_rows", [None, 3])
+    @pytest.mark.parametrize(
+        "spread, offset", [(1.0, 0.0), (1.0, 1e5), (1e-30, 0.0), (1e30, -1e31), (3.0, -7.0)]
+    )
+    def test_matches_two_operand_construction(self, monkeypatch, block_rows, spread, offset):
+        n, d = 300, 7
+        X = offset + spread * np.random.default_rng(18).standard_normal((n, d))
+        query, base, sq, scale = self.two_operands(X)
+        if block_rows is not None:
+            monkeypatch.setattr(density, "_ROW_BLOCK_BYTES", block_rows * 8 * d)
+        ops = density._GramOperands.of(X)
+        assert ops.base.tobytes() == base.tobytes()
+        assert ops.sq.tobytes() == sq.tobytes()
+        assert (ops.sq_max, ops.scale) == (sq.max(), scale)
+        for i0, i1 in [(0, n), (0, 128), (128, 256), (256, n), (5, 7)]:
+            q = ops.query(i0, i1)
+            assert q.flags.c_contiguous
+            assert q.tobytes() == query[i0:i1].tobytes()
+
+
+class TestArgpartitionSlices:
+    """``_block_preselect`` runs ``argpartition`` over row slices of each
+    Gram block; slices of two or three rows give the graph, fallback count
+    and utilities of one call over the whole block."""
+
+    @staticmethod
+    def inputs(name):
+        if name == "grid":
+            # {0,1,2}^5 at k=11: ties at the candidate boundary, rows fall back
+            return lattice(3, 5), 11
+        if name == "sign":
+            return l2_normalize(EmbeddingMatrix(data=sign_lattice())).data, 10
+        return 1e3 + np.random.default_rng(19).standard_normal((500, 6)), 20
+
+    @pytest.mark.parametrize("rows", [2, 3])
+    @pytest.mark.parametrize("name", ["grid", "sign", "gaussian"])
+    def test_byte_identical_to_whole_block(self, monkeypatch, name, rows):
+        X, k = self.inputs(name)
+        m = EmbeddingMatrix(data=X)
+        # the default budget holds a whole block of these rows in one slice
+        assert density._ROW_BLOCK_BYTES >= density.QUERY_BLOCK * 8 * m.n
+        want, want_u = build_knn_graph(m, k, threads=2), knn_utility_scores(m, k, threads=2)
+        if name == "grid":
+            assert want.fallback_rows > 0
+        sizes = []
+        partition = np.argpartition
+
+        def spy(a, kth, axis):
+            sizes.append(a.shape[0])
+            return partition(a, kth, axis=axis)
+
+        monkeypatch.setattr(density, "_ROW_BLOCK_BYTES", rows * 8 * m.n)
+        monkeypatch.setattr(np, "argpartition", spy)
+        g, u = build_knn_graph(m, k, threads=2), knn_utility_scores(m, k, threads=2)
+        # near-equal slices: an odd block's two-row budget gives one of three
+        assert set(sizes) <= {2, 3}
+        assert g.neighbors.tobytes() == want.neighbors.tobytes()
+        assert g.distances.tobytes() == want.distances.tobytes()
+        assert g.fallback_rows == want.fallback_rows
+        assert u.mean_knn_distance.tobytes() == want_u.mean_knn_distance.tobytes()
+        assert u.utility.tobytes() == want_u.utility.tobytes()
+        assert u.fallback_rows == want_u.fallback_rows
+
+
 class TestKnnUtilityScores:
     """The streamed utilities are utility_scores of the full graph, byte for
     byte, with the same fallback count and the same errors."""
@@ -410,15 +503,6 @@ class TestKnnUtilityScores:
                 fn(EmbeddingMatrix(data=X), 3, threads=1)
 
 
-def traced_peak(fn, *args, **kwargs):
-    tracemalloc.start()
-    try:
-        fn(*args, **kwargs)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestScratchMemory:
     """The graph's scratch is a fixed number of query rows per worker and
     an exact-recompute tile bounded on both axes."""
@@ -443,6 +527,41 @@ class TestScratchMemory:
         assert traced_peak(knn_utility_scores, m, k, threads=2) < n * k * 16
         params = UslParams(k=k, iterations=2)
         assert traced_peak(select_usl, m, 10, params, threads=2) < n * k * 16
+
+    @staticmethod
+    def unit_rows(n=10_000, d=128):
+        X = np.random.default_rng(20).standard_normal((n, d))
+        return l2_normalize(EmbeddingMatrix(data=X))
+
+    @staticmethod
+    def operand_bytes(n, d):
+        """The stored float32 operand, (d + 2) x n, and its float64 norms."""
+        return 4 * (d + 2) * n + 8 * n
+
+    def test_gram_operands_build_in_place(self):
+        # a stored query copy and the build's n x d temporaries would peak
+        # at about 31 MB
+        X = self.unit_rows().data
+        n, d = X.shape
+        # the centred float64 rows, the operand and one float32 row block
+        limit = 8 * n * d + self.operand_bytes(n, d) + density._ROW_BLOCK_BYTES
+        assert traced_peak(density._GramOperands.of, X) < limit
+
+    def test_walk_scratch_per_worker(self):
+        # two float32 copies of the rows and a 128 x n int64 argpartition
+        # output per worker would peak at about 42 MB
+        m, k, threads = self.unit_rows(), 400, 2
+        n, d = m.data.shape
+        block = density.QUERY_BLOCK
+        # README: a float32 Gram block, one argpartition slice, one exact
+        # tile and the block's candidate arrays (six at most)
+        worker = (
+            4 * block * n + density._ROW_BLOCK_BYTES + density.EXACT_TILE_BYTES
+            + 6 * 8 * block * (k + density.CANDIDATE_PAD)
+        )
+        build = 8 * n * d + density._ROW_BLOCK_BYTES
+        limit = self.operand_bytes(n, d) + max(build, threads * worker)
+        assert traced_peak(knn_utility_scores, m, k, threads=threads) < limit
 
     def test_exact_tile_bounded_for_a_row_against_every_point(self, monkeypatch):
         tile = 64 << 10

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from labelsel import density, diagnostics
 from labelsel.density import UtilityScores
 from labelsel.diagnostics import comparison_table
 
-from helpers import exact_expected_coverage
+from helpers import exact_expected_coverage, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -108,12 +107,7 @@ class TestReport:
     def test_min_pairwise_distance_scratch_is_row_block_sized(self):
         # 16 MiB difference blocks would peak at 32.5 MB
         P = np.random.default_rng(1).standard_normal((1000, 64))
-        tracemalloc.start()
-        try:
-            diagnostics._min_pairwise_distance(P)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(diagnostics._min_pairwise_distance, P)
         assert peak < 8e6
 
     def test_report_memory_stays_linear_in_budget(self):
@@ -124,12 +118,7 @@ class TestReport:
         labels = LabelVector(labels=rng.integers(0, 10, size=m), num_classes=10)
         util = UtilityScores(mean_knn_distance=np.ones(m), utility=rng.random(m))
         sel = SelectionFile(indices=np.arange(m))
-        tracemalloc.start()
-        try:
-            report(sel, labels, mat, util)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(report, sel, labels, mat, util)
         assert peak < 64e6
 
     def test_budget_one_has_no_pairwise(self, balanced_setup):

@@ -12,13 +12,19 @@ from labelsel import (
     assign_step,
     generate_synthetic,
     kmeans_fit,
+    l2_normalize,
     update_step,
 )
 from labelsel import kmeans
 from labelsel.kmeans import kmeanspp_init, objective_value
 
 
-from helpers import best_partition_objective, nearest_centroid_oracle, reference_kmeanspp
+from helpers import (
+    best_partition_objective,
+    nearest_centroid_oracle,
+    reference_kmeanspp,
+    traced_peak,
+)
 
 
 class TestDegenerateCases:
@@ -190,6 +196,27 @@ class TestInvariants:
         c = kmeans_fit(X, 6, seed=3)
         recomputed = objective_value(X, c.centroids, c.assignment)
         assert c.objective == pytest.approx(recomputed, rel=1e-8)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e5])
+    def test_objective_bitwise_equals_difference_expression(self, offset):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            n, d, m = int(rng.integers(2, 300)), int(rng.integers(1, 20)), int(rng.integers(1, 9))
+            X = offset + rng.standard_normal((n, d))
+            C = offset + rng.standard_normal((m, d))
+            a = rng.integers(0, m, size=n)
+            for centroids in (C, C.astype(np.float32)):
+                want = float(((X - centroids[a]) ** 2).sum())
+                assert objective_value(X, centroids, a) == want
+                assert objective_value(EmbeddingMatrix(data=X), centroids, a) == want
+
+    def test_fit_holds_at_most_three_row_copies(self):
+        # Lloyd holds the centred rows and their transpose, and the
+        # objective one gathered n x d array once both are freed; two
+        # objective temporaries next to both copies would peak at about 41 MB
+        X = np.random.default_rng(5).standard_normal((10_000, 128))
+        m = l2_normalize(EmbeddingMatrix(data=X))
+        assert traced_peak(kmeans_fit, m, 40, seed=0) < 3 * m.data.nbytes
 
     def test_no_empty_cluster_in_result(self):
         rng = np.random.default_rng(3)

@@ -5,8 +5,6 @@ Their results must not depend on the block budget, and none of them may
 hold more than a block-sized share of the n x m matrix.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -27,6 +25,8 @@ from labelsel import (
 from labelsel import density, kmeans, uslt
 from labelsel.density import UtilityScores
 from labelsel.kmeans import Clustering
+
+from helpers import traced_peak
 
 
 def mixture(n_modes, per_mode, dim, seed):
@@ -111,19 +111,11 @@ class TestPeakMemory:
         rng = np.random.default_rng(d)
         return l2_normalize(EmbeddingMatrix(data=rng.standard_normal((self.n, d))))
 
-    def peak(self, fn, *args, **kwargs):
-        tracemalloc.start()
-        try:
-            fn(*args, **kwargs)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     @pytest.mark.parametrize("d", [3, 64])
     def test_kmeans_assignment(self, d):
         X = self.rows(d).data
         C = X[: self.m].copy()
-        assert self.peak(kmeans.assign_step, X, C) < self.limit
+        assert traced_peak(kmeans.assign_step, X, C) < self.limit
 
     @pytest.mark.parametrize("horizon", [None, 64])
     @pytest.mark.parametrize("d", [3, 64])
@@ -137,7 +129,7 @@ class TestPeakMemory:
         util = UtilityScores(mean_knn_distance=np.ones(self.n), utility=np.ones(self.n))
         params = UslParams(reg_alpha=1.0, momentum=0.0, horizon=horizon)
         selected = np.arange(self.m)
-        peak = self.peak(
+        peak = traced_peak(
             regularize_utilities, matrix, util, clustering, selected, np.zeros(self.n), params
         )
         assert peak < self.limit
@@ -151,7 +143,7 @@ class TestPeakMemory:
         )
         fit = uslt.UsltFitResult(state=state, loss_history=(), occupancy_history=())
         monkeypatch.setattr(uslt, "fit_centroids", lambda *args, **kwargs: fit)
-        peak = self.peak(select_uslt, matrix, self.m, metric=metric)
+        peak = traced_peak(select_uslt, matrix, self.m, metric=metric)
         assert peak < self.limit
 
 
@@ -170,12 +162,7 @@ class TestUsltStep:
         matrix = l2_normalize(EmbeddingMatrix(data=rng.standard_normal((5000, 64))))
         peaks = {}
         for metric in uslt.METRICS:
-            tracemalloc.start()
-            try:
-                self.fit(matrix, 1000, metric, steps=3, batch_size=256)
-                peaks[metric] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peaks[metric] = traced_peak(self.fit, matrix, 1000, metric, steps=3, batch_size=256)
         assert peaks["neg_sq_euclidean"] < peaks["dot"] + 2 * density._ROW_BLOCK_BYTES
 
     @pytest.mark.parametrize("metric", uslt.METRICS)
