@@ -6,23 +6,21 @@ index. Every reported distance is computed in float64 from coordinate
 differences, the reference-precision formulation (no cancellation), and
 rows are ranked by (distance, index): the default sort ranks them, and
 rows with an exact tie among their first k + 1 distances are sorted again
-stably. Every input goes through one loop over query blocks of
-QUERY_BLOCK rows, which hands each block's ranked rows to a sink:
-
-* when k + CANDIDATE_PAD >= n - 1, every other point is a candidate
-  anyway: each row's full set of distances, then the ranking.
-* otherwise the rows are centred once and rounded to float32, and one
-  GEMM per query block gives approximate squared distances with the norms
-  folded into the operands. ``argpartition`` keeps k + CANDIDATE_PAD
-  candidates per row and reads the smallest excluded Gram value. The
-  candidates' distances are recomputed exactly and ranked. A rank
-  certificate (``_certificate_slack``) then accepts the row only when its
-  exact k-th squared distance lies strictly below that excluded value
-  minus a proven float32 error bound: every point tied with the k-th
-  neighbor is then a candidate, so the ranking is the exhaustive one. Rows
-  that fail the certificate (near-ties across the candidate boundary) are
-  recomputed in full, as in the first case, and counted in
-  ``NeighborGraph.fallback_rows``.
+stably. Every input, whatever its n, goes through one loop over query
+blocks of QUERY_BLOCK rows and one block path, which hands each block's
+ranked rows to a sink. The rows are centred once and rounded to float32,
+and one GEMM per query block gives approximate squared distances with the
+norms folded into the operands. ``argpartition`` keeps kp = min(k +
+CANDIDATE_PAD, n - 1) candidates per row and reads the smallest excluded
+Gram value. The candidates' distances are recomputed exactly and ranked.
+When kp = n - 1 every other point is a candidate, nothing is excluded and
+the ranking is the exhaustive one. Otherwise a rank certificate
+(``_certificate_slack``) accepts the row only when its exact k-th squared
+distance lies strictly below that excluded value minus a proven float32
+error bound: every point tied with the k-th neighbor is then a candidate,
+so the ranking is the exhaustive one. Rows that fail the certificate
+(near-ties across the candidate boundary) are recomputed against every
+point, one row at a time, and counted in ``NeighborGraph.fallback_rows``.
 
 ``build_knn_graph``'s sink stores the rows in an n x k graph (16 bytes per
 entry), which USL-T needs for its neighbor ids. ``knn_utility_scores``'s
@@ -33,12 +31,12 @@ Every worker multiplies its query rows by one shared float32 operand,
 (d + 2) x n (``_GramOperands``). The float32 Gram block is a worker's
 largest scratch, QUERY_BLOCK * n * 4 bytes; ``argpartition`` works row by
 row, so it runs over row slices of the block whose int64 output stays
-within _ROW_BLOCK_BYTES (two rows at least). Full rows of distances and
-their ranking take QUERY_BLOCK * n * 24 bytes, with n <= k + CANDIDATE_PAD
-+ 1. QUERY_BLOCK is a row count, not a byte budget: fewer rows cost CPU,
-because BLAS packs the whole n-row GEMM operand on every call. 128 rows
-keeps the kNN stage within noise of 512-row blocks at n=10,000 and within
-about 15% at n=5,000, at a quarter of the memory.
+within _ROW_BLOCK_BYTES (two rows at least). The candidates' distances
+and their ranking take a few QUERY_BLOCK x kp arrays. QUERY_BLOCK is a row
+count, not a byte budget: fewer rows cost CPU, because BLAS packs the
+whole n-row GEMM operand on every call. 128 rows keeps the kNN stage
+within noise of 512-row blocks at n=10,000 and within about 15% at
+n=5,000, at a quarter of the memory.
 
 Exact distances are computed in tiles of at most EXACT_TILE_BYTES of
 differences, over rows and candidates, so a row recomputed against every
@@ -58,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DuplicatePointsError
-from .io import EmbeddingMatrix
+from .io import EmbeddingMatrix, _frozen
 
 CANDIDATE_PAD = 16
 QUERY_BLOCK = 128
@@ -111,18 +109,15 @@ class NeighborGraph:
     fallback_rows: int = 0
 
     def __post_init__(self):
-        # freeze views: the caller's own arrays stay writeable
-        neighbors = np.asarray(self.neighbors, dtype=np.int64).view()
-        distances = np.asarray(self.distances, dtype=np.float64).view()
+        neighbors = np.asarray(self.neighbors, dtype=np.int64)
+        distances = np.asarray(self.distances, dtype=np.float64)
         if neighbors.shape != distances.shape or neighbors.ndim != 2:
             raise DataError("neighbors and distances must be equal-shape 2-D arrays")
         if neighbors.shape[1] != self.k:
             raise DataError(f"graph claims k={self.k} but rows have {neighbors.shape[1]} entries")
         _check_rows(neighbors, distances)
-        for a in (neighbors, distances):
-            a.flags.writeable = False
-        object.__setattr__(self, "neighbors", neighbors)
-        object.__setattr__(self, "distances", distances)
+        object.__setattr__(self, "neighbors", _frozen(neighbors))
+        object.__setattr__(self, "distances", _frozen(distances))
 
     @property
     def n(self) -> int:
@@ -153,9 +148,7 @@ class UtilityScores:
 
     def __post_init__(self):
         for name in ("mean_knn_distance", "utility"):
-            a = np.asarray(getattr(self, name)).view()
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name))))
 
 
 def _exact_block(X: np.ndarray, i0: int, i1: int, cand: np.ndarray) -> np.ndarray:
@@ -205,6 +198,7 @@ def _rank_candidates(dist, cand, k):
 
 
 def _block_direct(X, i0, i1, k):
+    """Rows i0:i1 ranked against every point: the certificate's fallback."""
     n = X.shape[0]
     cand = np.broadcast_to(np.arange(n, dtype=np.int64), (i1 - i0, n))
     dist = _exact_block(X, i0, i1, cand)
@@ -327,8 +321,8 @@ def _partition_rows(gram, kp):
 def _block_preselect(X, ops, i0, i1, k):
     """Rows i0:i1 by certified preselection; also returns the number of
     rows recomputed in full."""
-    kp = k + CANDIDATE_PAD
     b, n = i1 - i0, X.shape[0]
+    kp = min(k + CANDIDATE_PAD, n - 1)
     gram = ops.query(i0, i1) @ ops.base
     gram[np.arange(b), np.arange(i0, i1)] = np.inf
     cand = np.empty((b, kp), dtype=np.int64)
@@ -339,6 +333,8 @@ def _block_preselect(X, ops, i0, i1, k):
         cand[s], excluded[s] = _partition_rows(gram[s], kp)
     del gram  # free the block x n array before the recompute
     nbr, nbd = _rank_candidates(_exact_block(X, i0, i1, cand), cand, k)
+    if kp == n - 1:  # every other point is a candidate: nothing to certify
+        return nbr, nbd, 0
 
     slack = _certificate_slack(excluded, ops.sq[i0:i1], ops.sq_max, X.shape[1])
     kth = ops.scale * nbd[:, k - 1]
@@ -354,15 +350,10 @@ def _walk_blocks(X, k, workers, sink) -> int:
     recomputed in full. Blocks cover disjoint rows, so a sink may write
     into shared per-row arrays from any worker."""
     n = X.shape[0]
-    # with k + pad >= n - 1 every other point is a candidate anyway
-    ops = _GramOperands.of(X) if k + CANDIDATE_PAD < n - 1 else None
+    ops = _GramOperands.of(X)
 
     def run(i0):
-        i1 = min(i0 + QUERY_BLOCK, n)
-        if ops is None:
-            nbr, nbd, fallback = (*_block_direct(X, i0, i1, k), 0)
-        else:
-            nbr, nbd, fallback = _block_preselect(X, ops, i0, i1, k)
+        nbr, nbd, fallback = _block_preselect(X, ops, i0, min(i0 + QUERY_BLOCK, n), k)
         sink(i0, nbr, nbd)
         return fallback
 

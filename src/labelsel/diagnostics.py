@@ -103,21 +103,18 @@ def mode_centers(spec: SyntheticSpec) -> np.ndarray:
 
 
 def _average_rank_percentile(values: np.ndarray) -> np.ndarray:
-    """Percentile in [0, 100] of each value, average rank over ties."""
+    """Percentile in [0, 100] of each value, average rank over ties: a run
+    of equal values at sorted positions i..j all get rank (i + j) / 2."""
     values = np.asarray(values)
     n = values.size
     if n == 1:
         return np.array([100.0])
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(n)
     sorted_vals = values[order]
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0
-        i = j + 1
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    stops = np.r_[starts[1:], n]
+    ranks = np.empty(n)
+    ranks[order] = np.repeat((starts + stops - 1) / 2.0, stops - starts)
     return 100.0 * ranks / (n - 1)
 
 
@@ -150,23 +147,7 @@ def report(
     utilities: UtilityScores,
 ) -> SelectionReport:
     """Deterministic summary of one selection against ground truth."""
-    n = matrix.n
-    if labels.n != n:
-        raise DataError(f"labels cover {labels.n} instances but matrix has {n}")
-    if utilities.utility.size != n:
-        raise DataError("utility scores do not cover the matrix")
-    selection.validate_against(n)
-    idx = np.sort(selection.indices)  # canonical order: order-invariant output
-    counts = np.bincount(labels.labels[idx], minlength=labels.num_classes)
-    percentiles = _average_rank_percentile(utilities.utility)
-    mpd = _min_pairwise_distance(matrix.data[idx]) if idx.size >= 2 else math.inf
-    return SelectionReport(
-        coverage=int((counts > 0).sum()),
-        per_class_counts=counts,
-        count_std=float(counts.std()),
-        mean_utility_rank_percentile=float(percentiles[idx].mean()),
-        min_pairwise_distance=mpd,
-    )
+    return compare([("", selection)], labels, matrix, utilities)[0][1]
 
 
 def compare(
@@ -175,10 +156,30 @@ def compare(
     matrix: EmbeddingMatrix,
     utilities: UtilityScores,
 ) -> list[tuple[str, SelectionReport]]:
-    """One report row per named strategy."""
+    """One ``report`` row per named strategy; the utilities are ranked once."""
     if not selections:
         raise DataError("compare needs at least one selection")
-    return [(name, report(sel, labels, matrix, utilities)) for name, sel in selections]
+    n = matrix.n
+    if labels.n != n:
+        raise DataError(f"labels cover {labels.n} instances but matrix has {n}")
+    if utilities.utility.size != n:
+        raise DataError("utility scores do not cover the matrix")
+    percentiles = _average_rank_percentile(utilities.utility)
+    rows = []
+    for name, selection in selections:
+        selection.validate_against(n)
+        idx = np.sort(selection.indices)  # canonical order: order-invariant output
+        counts = np.bincount(labels.labels[idx], minlength=labels.num_classes)
+        mpd = _min_pairwise_distance(matrix.data[idx]) if idx.size >= 2 else math.inf
+        rep = SelectionReport(
+            coverage=int((counts > 0).sum()),
+            per_class_counts=counts,
+            count_std=float(counts.std()),
+            mean_utility_rank_percentile=float(percentiles[idx].mean()),
+            min_pairwise_distance=mpd,
+        )
+        rows.append((name, rep))
+    return rows
 
 
 def comparison_table(rows: list[tuple[str, SelectionReport]]) -> str:

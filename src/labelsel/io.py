@@ -27,7 +27,9 @@ UNIT_NORM_TOL = 1e-5
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    # freeze a view: the caller's own array stays writeable
+    """A read-only view of ``a`` for a frozen dataclass field: the caller's
+    own array stays writeable, and is not copied when it is already
+    C-contiguous."""
     a = np.ascontiguousarray(a).view()
     a.flags.writeable = False
     return a
@@ -195,33 +197,61 @@ def _load_fvecs(path: Path) -> EmbeddingMatrix:
     return EmbeddingMatrix(data=data, normalized=False)
 
 
-def _load_csv(path: Path) -> EmbeddingMatrix:
-    rows: list[list[float]] = []
-    dim = None
+def _text_lines(path):
+    """(line number, text) of each non-blank line of a UTF-8 text file."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        parts = line.split(",")
+    return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip()]
+
+
+def _write_lines(path, lines) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(f"{line}\n" for line in lines)
+
+
+def _read_ints(path) -> list[int]:
+    """One decimal integer per non-blank line."""
+    values = []
+    for lineno, line in _text_lines(path):
         try:
-            row = [float(p) for p in parts]
+            values.append(int(line))
         except ValueError as e:
             raise FormatError(f"{path}: line {lineno}: {e}") from e
-        if dim is None:
-            dim = len(row)
-        elif len(row) != dim:
+    return values
+
+
+def _load_csv(path: Path) -> EmbeddingMatrix:
+    rows: list[list[float]] = []
+    linenos: list[int] = []
+
+    def check_finite(data):
+        # one pass over the rows parsed so far; called before any later
+        # line's error, so the first bad line wins
+        ok = np.isfinite(data).all(axis=1)
+        if not ok.all():
+            raise FormatError(f"{path}: line {linenos[int(np.argmin(ok))]}: non-finite value")
+
+    for lineno, line in _text_lines(path):
+        try:
+            row = [float(p) for p in line.split(",")]
+        except ValueError as e:
+            if rows:
+                check_finite(np.asarray(rows, dtype=np.float64))
+            raise FormatError(f"{path}: line {lineno}: {e}") from e
+        if rows and len(row) != len(rows[0]):
+            check_finite(np.asarray(rows, dtype=np.float64))
             raise FormatError(
-                f"{path}: line {lineno}: expected {dim} values, got {len(row)}"
+                f"{path}: line {lineno}: expected {len(rows[0])} values, got {len(row)}"
             )
-        if not all(np.isfinite(row)):
-            raise FormatError(f"{path}: line {lineno}: non-finite value")
         rows.append(row)
+        linenos.append(lineno)
     if not rows:
         raise FormatError(f"{path}: empty file")
-    return EmbeddingMatrix(data=np.asarray(rows, dtype=np.float64), normalized=False)
+    data = np.asarray(rows, dtype=np.float64)
+    check_finite(data)
+    return EmbeddingMatrix(data=data, normalized=False)
 
 
 def save_embeddings(m: EmbeddingMatrix, path, format: str | None = None) -> None:
@@ -235,10 +265,7 @@ def save_embeddings(m: EmbeddingMatrix, path, format: str | None = None) -> None
         table[:, 1:] = data32.view("<i4")
         table.tofile(path)
     elif fmt == "csv":
-        with open(path, "w", encoding="utf-8") as f:
-            for row in m.data:
-                f.write(",".join(repr(float(v)) for v in row))
-                f.write("\n")
+        _write_lines(path, (",".join(repr(float(v)) for v in row) for row in m.data))
     else:
         raise DataError(f"unknown embedding format {fmt!r} for {path}")
 
@@ -259,49 +286,22 @@ def l2_normalize(m: EmbeddingMatrix) -> EmbeddingMatrix:
 
 
 def save_selection(s: SelectionFile, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for i in s.indices.tolist():
-            f.write(f"{i}\n")
+    _write_lines(path, s.indices.tolist())
 
 
 def load_selection(path, n: int | None = None) -> SelectionFile:
-    indices = []
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e}") from e
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            indices.append(int(line))
-        except ValueError as e:
-            raise FormatError(f"{path}: line {lineno}: {e}") from e
-    sel = SelectionFile(indices=np.asarray(indices, dtype=np.int64))
+    sel = SelectionFile(indices=np.asarray(_read_ints(path), dtype=np.int64))
     if n is not None:
         sel.validate_against(n)
     return sel
 
 
 def save_labels(labels: LabelVector, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for y in labels.labels.tolist():
-            f.write(f"{y}\n")
+    _write_lines(path, labels.labels.tolist())
 
 
 def load_labels(path, num_classes: int | None = None) -> LabelVector:
-    values = []
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e}") from e
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            values.append(int(line))
-        except ValueError as e:
-            raise FormatError(f"{path}: line {lineno}: {e}") from e
+    values = _read_ints(path)
     if not values:
         raise FormatError(f"{path}: empty label file")
     arr = np.asarray(values, dtype=np.int64)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .density import _row_blocks
 from .errors import DataError, EmptyClusterError
-from .io import EmbeddingMatrix
+from .io import EmbeddingMatrix, _frozen
 
 GENERATOR_NAME = "pcg64"
 DEFAULT_MAX_ITERS = 300
@@ -43,9 +43,8 @@ class Clustering:
     generator: str = GENERATOR_NAME
 
     def __post_init__(self):
-        # freeze views: the caller's own arrays stay writeable
-        a = np.asarray(self.assignment, dtype=np.int64).view()
-        c = np.asarray(self.centroids, dtype=np.float64).view()
+        a = np.asarray(self.assignment, dtype=np.int64)
+        c = np.asarray(self.centroids, dtype=np.float64)
         if c.shape[0] != self.num_clusters:
             raise DataError("centroid count does not match num_clusters")
         if a.min() < 0 or a.max() >= self.num_clusters:
@@ -55,10 +54,8 @@ class Clustering:
             raise EmptyClusterError(np.flatnonzero(counts == 0).tolist())
         if self.objective < 0:
             raise DataError("objective must be non-negative")
-        a.flags.writeable = False
-        c.flags.writeable = False
-        object.__setattr__(self, "assignment", a)
-        object.__setattr__(self, "centroids", c)
+        object.__setattr__(self, "assignment", _frozen(a))
+        object.__setattr__(self, "centroids", _frozen(c))
 
     @property
     def n(self) -> int:
@@ -160,7 +157,9 @@ def _sq_dist_blocks(rows: _CentredRows, C, nearest=None, floor=2.0):
     # (1 - floor * k), and floor * k < 1 for d below 10^7 and floor <= 2^27
     k = _gram_slack(0.0, 0.0, 1.0, d)
     floor_coef = floor * k / (1.0 - floor * k)
-    for block in _row_blocks(n, 8 * m):
+
+    def certified(block):
+        """The certified g of one row block; its other arrays die here."""
         xc, xx = rows.block(block)
         # without a rule no pass runs along the rows, and the transposed
         # product keeps every pass on long rows when the columns are few
@@ -196,7 +195,11 @@ def _sq_dist_blocks(rows: _CentredRows, C, nearest=None, floor=2.0):
         for chunk in _row_blocks(r.size, 8 * d):  # differences in 2 MiB blocks
             diff = X[block][r[chunk]] - C[c[chunk]]
             g[r[chunk], c[chunk]] = (diff * diff).sum(axis=1)
-        yield block, g
+        return g
+
+    for block in _row_blocks(n, 8 * m):
+        # no reference kept: the next block is built once the consumer drops g
+        yield block, certified(block)
 
 
 def _assign_with_dist(rows: _CentredRows, C):
@@ -209,6 +212,7 @@ def _assign_with_dist(rows: _CentredRows, C):
         nearest = np.argmin(g, axis=1)
         assignment[block] = nearest
         best[block] = g[np.arange(nearest.size), nearest]
+        del g  # before the next block is built
     return assignment, best
 
 
@@ -275,6 +279,7 @@ def _kmeanspp(rows: _CentredRows, clusters, rng):
         out = np.empty((idx.size, n))
         for block, g in _sq_dist_blocks(rows, X[idx]):
             out[:, block] = g.T
+            del g  # before the next block is built
         return out
 
     chosen = np.empty(clusters, dtype=np.int64)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .density import knn_utility_scores, UtilityScores
 from .errors import DataError, EmptyClusterError
-from .io import EmbeddingMatrix
+from .io import EmbeddingMatrix, _frozen
 from .kmeans import Clustering, _CentredRows, _sq_dist_blocks, kmeans_fit
 
 # the distance kernel's accuracy floor: every squared distance kept from
@@ -95,19 +95,16 @@ class SelectionResult:
     trace: dict | None = None
 
     def __post_init__(self):
-        # freeze views: the caller's own arrays stay writeable
-        idx = np.asarray(self.indices, dtype=np.int64).view()
-        clu = np.asarray(self.cluster_of, dtype=np.int64).view()
+        idx = np.asarray(self.indices, dtype=np.int64)
+        clu = np.asarray(self.cluster_of, dtype=np.int64)
         if idx.shape != clu.shape:
             raise DataError("indices and cluster_of must have equal length")
         if np.unique(idx).size != idx.size:
             raise DataError("selected indices must be distinct")
         if np.unique(clu).size != clu.size:
             raise DataError("each cluster must own exactly one selection")
-        idx.flags.writeable = False
-        clu.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "cluster_of", clu)
+        object.__setattr__(self, "indices", _frozen(idx))
+        object.__setattr__(self, "cluster_of", _frozen(clu))
 
     @property
     def budget(self) -> int:
@@ -197,11 +194,12 @@ def regularize_utilities(
             excluded.extend((rows.start + hit).tolist())
             eligible &= dist > 0.0
         with np.errstate(divide="ignore"):
-            inv = dist**params.reg_alpha
-            np.divide(1.0, inv, out=inv)
-        inv[~eligible] = 0.0
-        reg[rows] = inv.sum(axis=1)
-        del eligible, inv  # free this block's temporaries before the next is built
+            # in place: the same scalar-power fast paths as dist ** alpha
+            dist **= params.reg_alpha
+            np.divide(1.0, dist, out=dist)
+        dist[~eligible] = 0.0
+        reg[rows] = dist.sum(axis=1)
+        del dist, eligible, zero_pairs  # before the next block is built
 
     new_state = params.momentum * reg_state + (1.0 - params.momentum) * reg
     u_prime = utilities.utility - params.reg_lambda * new_state

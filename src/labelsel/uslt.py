@@ -20,7 +20,7 @@ import numpy as np
 
 from .density import _row_blocks, build_knn_graph
 from .errors import DataError, EmptyClusterError, NumericalError
-from .io import EmbeddingMatrix
+from .io import EmbeddingMatrix, _frozen
 from .usl import SelectionResult, _per_cluster_argmax
 
 METRICS = ("dot", "neg_sq_euclidean")
@@ -93,18 +93,15 @@ class UsltState:
     step: int = 0
 
     def __post_init__(self):
-        # freeze views: the caller's own arrays stay writeable
-        c = np.asarray(self.centroids, dtype=np.float64).view()
-        r = np.asarray(self.running_mean, dtype=np.float64).view()
+        c = np.asarray(self.centroids, dtype=np.float64)
+        r = np.asarray(self.running_mean, dtype=np.float64)
         if c.ndim != 2:
             raise DataError("centroids must be a C x d array")
         if r.shape != (c.shape[0],):
             raise DataError("running_mean must have one entry per centroid")
         _check_running_mean(r)
-        c.flags.writeable = False
-        r.flags.writeable = False
-        object.__setattr__(self, "centroids", c)
-        object.__setattr__(self, "running_mean", r)
+        object.__setattr__(self, "centroids", _frozen(c))
+        object.__setattr__(self, "running_mean", _frozen(r))
 
     @property
     def num_clusters(self) -> int:
@@ -145,8 +142,11 @@ def _check_dim(x: np.ndarray, centroids: np.ndarray) -> None:
         )
 
 
-def _logits(rows: np.ndarray, centroids: np.ndarray, metric: str, out: np.ndarray) -> np.ndarray:
-    """Logits of a 2-D batch of rows, written to ``out``."""
+def _logits(rows, centroids, metric, out=None) -> np.ndarray:
+    """Logits of a 2-D batch of rows, written to ``out`` when given; every
+    logit of this module comes from here."""
+    if out is None:
+        out = np.empty((rows.shape[0], centroids.shape[0]))
     if metric == "dot":
         return np.matmul(rows, centroids.T, out=out)
     # one row block of the rows x C x d differences at a time
@@ -163,10 +163,7 @@ def similarities(x: np.ndarray, state: UsltState, metric: str = "dot") -> np.nda
     x = np.asarray(x, dtype=np.float64)
     c = state.centroids
     _check_dim(x, c)
-    if metric == "dot":
-        return x @ c.T
-    rows = x.reshape(-1, c.shape[1])
-    z = _logits(rows, c, metric, np.empty((rows.shape[0], c.shape[0])))
+    z = _logits(x.reshape(-1, c.shape[1]), c, metric)
     return z.reshape(x.shape[:-1] + (c.shape[0],))
 
 
@@ -182,10 +179,11 @@ def assign(x: np.ndarray, state: UsltState, metric: str = "dot") -> AssignmentPa
     return AssignmentPair(soft=soft, hard=hard, confidence=float(soft.max()))
 
 
-def _logit_blocks(X: np.ndarray, state: UsltState, metric: str):
-    """(rows, logits of X[rows]) for each of the ``_row_blocks`` of X."""
-    for rows in _row_blocks(X.shape[0], 8 * state.num_clusters):
-        yield rows, similarities(X[rows], state, metric)
+def _logit_blocks(X: np.ndarray, centroids: np.ndarray, metric: str):
+    """(rows, logits of X[rows]) for each of the ``_row_blocks`` of X; the
+    caller has checked the metric and the dimension."""
+    for rows in _row_blocks(X.shape[0], 8 * centroids.shape[0]):
+        yield rows, _logits(X[rows], centroids, metric)
 
 
 @dataclass(frozen=True)
@@ -206,12 +204,14 @@ def _chain_to_centroids(W: np.ndarray, X: np.ndarray, centroids: np.ndarray, met
 
 
 def _frozen_logits(X, centroids, metric):
-    """X as a float64 batch and its logits against fixed centroids; the
-    uniform EMA of the state they go through does not enter the logits."""
-    clusters = centroids.shape[0]
-    state = UsltState(centroids=centroids, running_mean=np.full(clusters, 1.0 / clusters))
+    """X as a float64 batch and its logits against fixed centroids."""
+    centroids = np.asarray(centroids, dtype=np.float64)
+    if centroids.ndim != 2 or centroids.shape[0] == 0:
+        raise DataError("centroids must be a C x d array")
+    _check_metric(metric)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return X, similarities(X, state, metric)
+    _check_dim(X, centroids)
+    return X, _logits(X, centroids, metric)
 
 
 def _global_per_sample(z, lse, hard) -> np.ndarray:
@@ -597,10 +597,12 @@ class UsltFitResult:
     reseeds: int = 0  # empty clusters re-seeded, summed over the fit
 
 
-def _hard_counts(X, state, metric, num_clusters):
-    counts = np.zeros(num_clusters, dtype=np.int64)
-    for _, z in _logit_blocks(X, state, metric):
-        counts += np.bincount(np.argmax(z, axis=1), minlength=num_clusters)
+def _hard_counts(X, centroids, metric):
+    """Members of each cluster under the hard (argmax) assignment."""
+    clusters = centroids.shape[0]
+    counts = np.zeros(clusters, dtype=np.int64)
+    for _, z in _logit_blocks(X, centroids, metric):
+        counts += np.bincount(np.argmax(z, axis=1), minlength=clusters)
     return counts
 
 
@@ -639,6 +641,7 @@ def fit_centroids(
     graph = build_knn_graph(matrix, params.neighbor_k, threads=threads)
     centroids = state.centroids.copy()
     running_mean = state.running_mean.copy()
+    del state  # the loop updates the plain arrays; the start is not kept
     velocity = np.zeros_like(centroids)
     batch = min(optimizer.batch_size, n)
     step_loss = _BatchLoss(batch, num_clusters)
@@ -675,8 +678,7 @@ def fit_centroids(
             at_epoch = step % steps_per_epoch == 0 or step == optimizer.steps
             at_reseed = step % optimizer.reseed_interval == 0
             if at_epoch or at_reseed:
-                state = UsltState(centroids=centroids, running_mean=running_mean, step=step)
-                counts = _hard_counts(X, state, metric, num_clusters)
+                counts = _hard_counts(X, centroids, metric)
                 if at_epoch:
                     occupancy.append((step, counts))
                 empty = np.flatnonzero(counts == 0)
@@ -712,7 +714,7 @@ def select_uslt(
     fit = fit_centroids(matrix, budget, params, optimizer, metric, threads=threads)
     confidence = np.empty(matrix.n)
     hard = np.empty(matrix.n, dtype=np.int64)
-    for rows, z in _logit_blocks(matrix.data, fit.state, metric):
+    for rows, z in _logit_blocks(matrix.data, fit.state.centroids, metric):
         hard[rows] = np.argmax(z, axis=1)
         # the softmax row maximum, 1 / (sum of the shifted exponentials)
         z -= z.max(axis=1, keepdims=True)

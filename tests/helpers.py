@@ -38,6 +38,22 @@ def traced_peak(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
+def average_rank_percentile_oracle(values):
+    """Percentile in [0, 100] of each value from its average 0-based rank:
+    a value with b values below it and e equal to it (itself included)
+    spans ranks b .. b + e - 1, so its rank is (2b + e - 1) / 2."""
+    values = list(values)
+    n = len(values)
+    if n == 1:
+        return [100.0]
+    out = []
+    for x in values:
+        below = sum(v < x for v in values)
+        equal = sum(v == x for v in values)
+        out.append(100.0 * ((2 * below + equal - 1) / 2) / (n - 1))
+    return out
+
+
 def sign_lattice():
     """The 242 nonzero points of {-1, 0, 1}^5. Once L2-normalized they stay
     distinct, and their exact distance ties cross the k + pad preselection

@@ -63,7 +63,7 @@ class TestBuildKnnGraph:
         np.testing.assert_array_equal(g.distances, dist)
 
     def test_large_path_matches_direct_path(self):
-        # n just above the preselection threshold agrees with brute force
+        # an input of many query blocks agrees with brute force
         rng = np.random.default_rng(5)
         X = rng.standard_normal((2100, 4))
         g = graph_from(X, 3)
@@ -139,9 +139,10 @@ class TestBuildKnnGraph:
 
 
 class TestPreselectPath:
-    """The k + CANDIDATE_PAD < n - 1 path: float32 preselection, exact
-    recompute of the candidates and the rank certificate. Small inputs run
-    it in several query blocks by lowering the block."""
+    """The one block path at every n: float32 preselection of min(k +
+    CANDIDATE_PAD, n - 1) candidates, exact recompute of the candidates and,
+    when some point is excluded, the rank certificate. Small inputs run it
+    in several query blocks by lowering the block."""
 
     @staticmethod
     def preselect(X, k):
@@ -178,7 +179,8 @@ class TestPreselectPath:
     def test_direct_path_reports_no_fallback(self):
         rng = np.random.default_rng(13)
         assert graph_from(rng.standard_normal((40, 3)), 5).fallback_rows == 0
-        # k + pad >= n - 1: every other point is a candidate, nothing to certify
+        # k + pad >= n - 1: the preselection keeps every other point, so no
+        # point is excluded and no row is certified or recomputed
         X = rng.standard_normal((30, 3))
         assert 20 + density.CANDIDATE_PAD >= X.shape[0] - 1
         assert graph_from(X, 20).fallback_rows == 0
@@ -431,7 +433,7 @@ class TestKnnUtilityScores:
         grid=st.booleans(),
     )
     def test_byte_identical_to_graph_path(self, seed, n, d, k_frac, offset, grid):
-        # k_frac spans both candidate branches: k + pad >= n - 1 and below
+        # k_frac spans k + pad >= n - 1 (every other point a candidate) and below
         rng = np.random.default_rng(seed)
         if grid:
             X = np.unique(rng.integers(0, 4, size=(n, d)), axis=0).astype(np.float64)
@@ -454,6 +456,7 @@ class TestKnnUtilityScores:
         assert self.assert_same(X, k).fallback_rows > 0
 
     def test_direct_branch(self):
+        # k + pad >= n - 1: every other point is a candidate of the one path
         X = np.random.default_rng(14).standard_normal((30, 3))
         assert 20 + density.CANDIDATE_PAD >= X.shape[0] - 1
         assert self.assert_same(X, 20).fallback_rows == 0
@@ -514,7 +517,7 @@ class TestScratchMemory:
         assert traced_peak(build_knn_graph, m, 20, threads=2) < 32e6
 
     def test_small_input_scratch(self):
-        # one n x n direct block peaked at 101.5 MB here
+        # one n x n block of every distance would peak at 101.5 MB here
         rng = np.random.default_rng(2)
         m = EmbeddingMatrix(data=rng.standard_normal((2048, 2)))
         assert traced_peak(build_knn_graph, m, 20, threads=1) < 16e6

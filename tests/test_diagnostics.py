@@ -23,7 +23,7 @@ from labelsel import density, diagnostics
 from labelsel.density import UtilityScores
 from labelsel.diagnostics import comparison_table
 
-from helpers import exact_expected_coverage, traced_peak
+from helpers import average_rank_percentile_oracle, exact_expected_coverage, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +126,32 @@ class TestReport:
         rep = report(SelectionFile(indices=np.array([7])), y, m, u)
         assert math.isinf(rep.min_pairwise_distance)
         assert rep.to_dict()["min_pairwise_distance"] is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 300])
+    def test_rank_percentile_matches_oracle_bitwise(self, n, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct values, so most entries share their value with others
+        values = rng.integers(0, 1 + seed * n // 4, size=n) / 3.0
+        if seed % 2:
+            values = rng.standard_normal(n)
+            values[rng.integers(0, n, size=n // 2)] = values[0]
+        got = diagnostics._average_rank_percentile(values)
+        want = np.array(average_rank_percentile_oracle(values))
+        assert got.tobytes() == want.tobytes()
+
+    def test_compare_ranks_utilities_once(self, balanced_setup, monkeypatch):
+        m, y, u = balanced_setup
+        calls = []
+        rank = diagnostics._average_rank_percentile
+        monkeypatch.setattr(
+            diagnostics, "_average_rank_percentile", lambda v: calls.append(1) or rank(v)
+        )
+        sels = [(f"s{i}", random_selection(m.n, 10, seed=i)) for i in range(3)]
+        rows = compare(sels, y, m, u)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert rows == [(name, report(sel, y, m, u)) for name, sel in sels]
 
     def test_high_utility_selection_scores_high_percentile(self, balanced_setup):
         m, y, u = balanced_setup

@@ -105,6 +105,33 @@ class TestLoadEmbeddings:
         with pytest.raises(FormatError, match="line 2"):
             load_embeddings(p)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_csv_non_finite_names_its_line(self, tmp_path, value):
+        # blank lines still count toward the line number
+        p = tmp_path / "bad.csv"
+        p.write_text(f"1.0,2.0\n\n3.0,4.0\n5.0,{value}\n6.0,7.0\n")
+        with pytest.raises(FormatError) as e:
+            load_embeddings(p)
+        assert str(e.value) == f"{p}: line 4: non-finite value"
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("1,2\nnan,4\n5\n", 2, "non-finite value"),
+            ("1,2\n5\nnan,4\n", 2, "expected 2 values, got 1"),
+            ("1,2\ninf,1\nx,1\n", 2, "non-finite value"),
+            ("1,2\nx,1\ninf,1\n", 2, "could not convert string to float: 'x'"),
+        ],
+        ids=["non-finite-then-ragged", "ragged-then-non-finite",
+             "non-finite-then-malformed", "malformed-then-non-finite"],
+    )
+    def test_csv_first_bad_line_wins(self, tmp_path, text, line, message):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(FormatError) as e:
+            load_embeddings(p)
+        assert str(e.value) == f"{p}: line {line}: {message}"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_embeddings(tmp_path / "nope.fvecs")

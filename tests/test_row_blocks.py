@@ -134,6 +134,45 @@ class TestPeakMemory:
         )
         assert peak < self.limit
 
+    # The distance kernel's consumers hold one row block of the n x m
+    # distances at a time: neither the kernel nor its consumer keeps the
+    # previous block alive while the next one is built. Each limit counts
+    # the block-sized arrays of one block (B bytes each), the m x d
+    # operands and the length-n outputs; a second live block exceeds it.
+
+    @pytest.mark.parametrize("d", [3, 64])
+    def test_kmeans_assignment_holds_one_block(self, d):
+        X = self.rows(d).data
+        C = X[: self.m].copy()
+        rows = kmeans._CentredRows.of(X)
+        B = density._ROW_BLOCK_BYTES
+        # the block and, as its rows sit on a centroid, its masked copy;
+        # boolean and per-row scratch stay under half a block
+        limit = 2.5 * B + 8 * self.m * d + 16 * self.n
+        assert traced_peak(kmeans._assign_with_dist, rows, C) < limit
+
+    @pytest.mark.parametrize("horizon", [None, 64])
+    @pytest.mark.parametrize("d", [3, 64])
+    def test_regularize_utilities_holds_one_block(self, d, horizon):
+        matrix = self.rows(d)
+        clustering = Clustering(
+            num_clusters=self.m, assignment=np.arange(self.n) % self.m,
+            centroids=np.zeros((self.m, d)), objective=0.0, iterations_run=0,
+        )
+        util = UtilityScores(mean_knn_distance=np.ones(self.n), utility=np.ones(self.n))
+        params = UslParams(reg_alpha=1.0, momentum=0.0, horizon=horizon)
+        B = density._ROW_BLOCK_BYTES
+        # the block and its boolean masks; a horizon adds the partitioned
+        # copy of the block that picks the nearest selections
+        blocks = 2.0 if horizon is None else 2.5
+        # the selected rows and their centred copy
+        limit = blocks * B + 2 * 8 * self.m * d + 16 * self.n
+        peak = traced_peak(
+            regularize_utilities, matrix, util, clustering, np.arange(self.m),
+            np.zeros(self.n), params,
+        )
+        assert peak < limit
+
     @pytest.mark.parametrize("metric", uslt.METRICS)
     def test_select_uslt_pick(self, monkeypatch, metric):
         matrix = self.rows(3 if metric == "neg_sq_euclidean" else 64)
