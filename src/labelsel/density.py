@@ -14,10 +14,11 @@ norms folded into the operands. ``argpartition`` keeps kp = min(k +
 CANDIDATE_PAD, n - 1) candidates per row and reads the smallest excluded
 Gram value. The candidates' distances are recomputed exactly and ranked.
 When kp = n - 1 every other point is a candidate, nothing is excluded and
-the ranking is the exhaustive one. Otherwise a rank certificate
-(``_certificate_slack``) accepts the row only when its exact k-th squared
-distance lies strictly below that excluded value minus a proven float32
-error bound: every point tied with the k-th neighbor is then a candidate,
+the ranking is the exhaustive one. Otherwise a rank certificate accepts
+the row only when its exact k-th squared distance lies strictly below that
+excluded value minus the float32 case of the package's one proven rounding
+bound (``_gram_slack``, which also certifies k-means' float64 distance
+kernel): every point tied with the k-th neighbor is then a candidate,
 so the ranking is the exhaustive one. Rows that fail the certificate
 (near-ties across the candidate boundary) are recomputed against every
 point, one row at a time, and counted in ``NeighborGraph.fallback_rows``.
@@ -82,6 +83,83 @@ def _row_blocks(n: int, row_bytes: int) -> list[slice]:
     per_block = max(2, _ROW_BLOCK_BYTES // row_bytes)
     blocks = min(-(-n // per_block), max(1, n // 2))
     return [slice(i * n // blocks, (i + 1) * n // blocks) for i in range(blocks)]
+
+
+def _gram_slack(xx, cc_max, g, d, dtype=np.float64):
+    """Per-entry bound s = (3 d + 8) u (A + B + max(g, 0)) + (9 d + 6) t on
+    how far a squared distance ``g`` read from a Gram GEMM in ``dtype``
+    strays from the true one; u is the unit roundoff and t the smallest
+    subnormal of ``dtype``, A = ``xx`` the row's computed squared norm and
+    B = ``cc_max`` the largest computed squared norm of the columns.
+
+    Both GEMMs are inner products, and an m-term inner product p.q summed
+    in any order, with or without FMA, is off by at most gamma_m sum_t
+    |p_t q_t|, gamma_m = m u / (1 - m u), plus t / 2 per underflowing
+    operation (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 2002, Sec. 3.1). First order in u below; the margins left by s
+    cover the rounding of the tests that use it and the second-order terms
+    for d below 2^20 (float32) or 10^7 (float64). x and c are a row and a
+    column (centroid, seeding trial, selection or other row), a and b the
+    same centred on one mean, D = ||a - b||^2 the true squared distance.
+
+    float64, ``kmeans._sq_dist_blocks`` (u = 2^-53; no float64 underflow or
+    overflow, so the t term is lost in the sum unless A + B + max(g, 0) is
+    below 2^-900). O = fl(sum_t fl(x_t - c_t)^2) is the difference-based
+    value and P = ||a||^2 + ||b||^2.
+
+    1. Centring rounds each coordinate once, so |D - ||a - b||^2| <= 4 u P.
+    2. H = fl(fl(a . (-2 b)) + cc): the d-term dot product is off by at most
+       2 d u ||a|| ||b|| <= d u P, cc = ||b||^2 by d u P, and the addition
+       by 2 u P more. As ||b||^2 - 2 a.b + ||a||^2 = ||a - b||^2, with 1:
+       |H + ||a||^2 - D| <= E = (2 d + 6) u (A + B), the same E for every
+       column of the row.
+    3. O = D (1 + r), |r| <= delta = (d + 2) u: the rounded difference
+       enters squared, the square rounds once and the sum d - 1 times.
+    4. g = fl(H + A) is off from H + ||a||^2 by at most u |g| + d u A.
+
+    s exceeds E + delta (g + E) + u |g| + d u A by at least 2 u (A + B).
+
+    * Value: |g - O| <= s by 2, 3 and 4.
+    * Order: g_j > g_i + 2 s_i (s_i at g_i) gives O_j >= (1 - delta)(g_j -
+      E - u |g_j| - d u A) > (1 + delta)(g_i + E + u |g_i| + d u A) >= O_i.
+    * Coincidence: O = 0 only when x = c, so D = 0 and g <= s by 2 and 4.
+
+    float32, ``density._block_preselect`` (u = 2^-24, t = 2^-149). Here a_i
+    and a_j are two rows centred and scaled by the power of two of
+    ``_GramOperands`` (so D is the scaled squared distance), b_i and b_j
+    their float32 copies. A = ||b_i||^2 and B = max_j ||b_j||^2 are summed
+    in float64 from exact products (relative error d 2^-53 < u / 500), n =
+    fl32(A) is the folded norm, and g = fl(q . r), q = [b_i, 1, n_i], r =
+    [-2 b_j, n_j, 1], is the (d + 2)-term GEMM.
+
+    1. Inputs: centring rounds each coordinate once and the float32 copy
+       once more, |b_t - a_t| <= 1.01 u |a_t| + t / 2, so e = ||b_i - a_i||
+       + ||b_j - a_j|| <= 1.02 u (sqrt(A) + sqrt(B)) + 1.1 sqrt(d) t.
+    2. Norms: n_i is off from ||b_i||^2 by at most 1.01 u A + t / 2, n_j by
+       1.01 u B + t / 2.
+    3. GEMM: q . r = ||b_i - b_j||^2 + (n_i - ||b_i||^2) + (n_j -
+       ||b_j||^2), and sum_t |q_t r_t| <= 2 ||b_i|| ||b_j|| + n_i + n_j <=
+       2 (A + B) + t, so with 2, |g - ||b_i - b_j||^2| <= E = (2 d + 5.01)
+       u (A + B) + (d + 4) t / 2.
+    4. |sqrt(D) - ||b_i - b_j||| <= e and ||b_i - b_j||^2 <= max(g, 0) + E
+       by 3, so |D - ||b_i - b_j||^2| <= 2 e ||b_i - b_j|| + e^2 <= 1.02 u
+       (A + B + 2 max(g, 0)) + 0.01 u max(g, 0) + t / 100 (2 y z <= y^2 / w
+       + w z^2 on each product; u E and e^2 are second order).
+
+    * Value: |g - D| <= E' = (2 d + 6.03) u (A + B) + 2.05 u max(g, 0) +
+      (d + 5) t / 2, and s - E' >= (d + 1) u (A + B) + (3 d + 5) u max(g, 0).
+    * Certificate: g - E'(g) is nondecreasing in g, so every excluded point
+      j of a row (Gram value at least g, the row's smallest excluded one)
+      has D_j >= g - E'(g). Its reported float64 distance r_j carries d + 2
+      roundings in its square and one in the square root (no float64
+      underflow), and the test ``(scale * r_k)^2 < g - s`` a few more: less
+      than (d + 8) 2^-52 max(g, 0) + 2^-50 s in all, inside the margin s -
+      E'. The test fails whenever g <= 0. So a row that passes has every
+      excluded r_j strictly above its k-th distance r_k.
+    """
+    f = np.finfo(dtype)
+    u, t = float(f.eps) / 2, float(f.smallest_subnormal)
+    return (3 * d + 8) * u * (xx + cc_max + np.maximum(g, 0.0)) + (9 * d + 6) * t
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -257,59 +335,6 @@ class _GramOperands:
         return q
 
 
-def _certificate_slack(g, sq_query, sq_max, d):
-    """Upper bound E on how far the float32 Gram value of an excluded point
-    can exceed its true scaled squared distance, so that every excluded j
-    of a row has s^2 ||x_i - x_j||^2 >= g - E, g the row's smallest
-    excluded Gram value.
-
-    Notation: u = 2^-24 (float32 unit roundoff), m = d + 2 (GEMM depth),
-    gamma = m u / (1 - m u), a_i the exact centred scaled rows, b_i their
-    float32 copies, N_i = ||b_i||^2 and R^2 = max N. N is summed in float64
-    from exact products; its relative error d 2^-53 <= 0.005 u (any d below
-    2.7 million) is absorbed by the 1.01 and 2.01 factors below. Float32
-    underflow adds an absolute error of at most 2^-150 per operation.
-
-    1. Inputs. Centring rounds once in float64 and the float32 copy once
-       more (scaling by s is exact): |b_t - a_t| <= (2^-24 + 2^-52)|a_t| +
-       2^-150 per coordinate, so ||b_i - a_i|| <= e_in = 1.01 u R +
-       sqrt(d) 2^-149, and the distance between two copies differs from
-       the true one by at most 2 e_in.
-    2. Norms. The float32 norm n_i rounds N_i once:
-       |n_i - N_i| <= 1.01 u N_i + 2^-149.
-    3. GEMM. G_ij = fl(q.b) for q = [b_i, 1, n_i], b = [-2 b_j, n_j, 1]:
-       m products summed in any order, with or without FMA, so
-       |G_ij - q.b| <= gamma sum_t |q_t b_t| <= gamma (2 + 1.01 u)(N_i +
-       N_j) + (m + 2) 2^-149 (Cauchy-Schwarz on the d-term dot product; the
-       two further terms add the folded norms). Exactly, q.b =
-       ||b_i - b_j||^2 + (n_i - N_i) + (n_j - N_j). With N_j <= R^2 and
-       c = 2.01 gamma + 1.01 u: ||b_i - b_j||^2 >= G_ij - c (N_i + R^2) -
-       (d + 6) 2^-149.
-    4. Combining 1 and 3 for G_ij >= g, with L the right side of 3 at g:
-       s ||x_i - x_j|| >= sqrt(L) - 2 e_in, so s^2 ||x_i - x_j||^2 >=
-       L - 4 e_in sqrt(g) (trivially when that is negative).
-    5. The exact side. A reported distance r carries d + 2 float64
-       roundings in its square and one in the square root (no float64
-       underflow assumed), so r^2 >= ||x_i - x_j||^2 (1 - (d + 5) 2^-53);
-       the test below is itself evaluated in float64. A relative
-       (d + 8) 2^-52 of g covers both, so an excluded point's reported
-       distance is strictly above the k-th, rounded square roots included,
-       whenever s^2 r_k^2 < g - E.
-    """
-    u = 2.0**-24
-    m = d + 2
-    gamma = m * u / (1.0 - m * u)
-    c = 2.01 * gamma + 1.01 * u
-    e_in = 1.01 * u * math.sqrt(sq_max) + math.sqrt(d) * 2.0**-149
-    root = np.sqrt(np.maximum(g, 0.0))
-    return (
-        c * (sq_query + sq_max)
-        + 4.0 * e_in * root
-        + (d + 8) * 2.0**-52 * np.abs(g)
-        + (d + 6) * 2.0**-149
-    )
-
-
 def _partition_rows(gram, kp):
     """The kp smallest columns of each row of ``gram``, sorted, and the
     row's smallest excluded value; the n-wide ``argpartition`` output is
@@ -336,7 +361,7 @@ def _block_preselect(X, ops, i0, i1, k):
     if kp == n - 1:  # every other point is a candidate: nothing to certify
         return nbr, nbd, 0
 
-    slack = _certificate_slack(excluded, ops.sq[i0:i1], ops.sq_max, X.shape[1])
+    slack = _gram_slack(ops.sq[i0:i1], ops.sq_max, excluded, X.shape[1], np.float32)
     kth = ops.scale * nbd[:, k - 1]
     failed = np.flatnonzero(~(kth * kth < excluded - slack))
     for r in failed:

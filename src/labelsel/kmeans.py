@@ -8,10 +8,10 @@ cluster. The objective is the within-cluster sum of squares.
 Every float64 distance from the rows to a few columns (centroids, seeding
 trials, ``usl`` selections) comes from one kernel, ``_sq_dist_blocks``: one
 centred Gram GEMM per row block (a fit centres its rows once,
-``_CentredRows``), with the entries a proven rounding slack
-(``_gram_slack``) cannot certify recomputed from coordinate differences.
-Assignments are therefore those of a full difference pass, ties to the
-lower id included, and a point on its centroid reads distance 0.
+``_CentredRows``), with the entries the package's one proven rounding
+bound (``density._gram_slack``) cannot certify recomputed from coordinate
+differences. Assignments are therefore those of a full difference pass,
+ties to the lower id included, and a point on its centroid reads distance 0.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import _row_blocks
+from .density import _gram_slack, _row_blocks
 from .errors import DataError, EmptyClusterError
 from .io import EmbeddingMatrix, _frozen
 
@@ -95,39 +95,6 @@ class _CentredRows:
         return xc, np.einsum("ij,ij->i", xc, xc)
 
 
-def _gram_slack(xx, cc_max, g, d):
-    """Per-entry bound ``s`` on how far a squared distance ``g`` of
-    ``_sq_dist_blocks`` can stray from the difference-based one.
-
-    Notation: u = 2^-53, a and b a row and a column (centroid, seeding
-    trial or selection) centred on the same float64 mean, x and c the
-    uncentred ones, D = ||x - c||^2 exactly, O = fl(sum_t fl(x_t - c_t)^2)
-    the difference-based value, A = xx (the row's computed ||a||^2), B =
-    cc_max (the largest computed ||b||^2 of the columns), P = ||a||^2 +
-    ||b||^2. First order in u; no float64 underflow or overflow.
-
-    1. Centring rounds each coordinate once, so |D - ||a - b||^2| <= 4 u P.
-    2. H = fl(fl(a . (-2 b)) + cc): the d-term dot product, in any order and
-       with or without FMA, is off by at most 2 d u ||a|| ||b|| <= d u P,
-       cc = ||b||^2 by d u P, and the addition by 2 u P more. As ||b||^2 -
-       2 a.b + ||a||^2 = ||a - b||^2, with 1: |H + ||a||^2 - D| <= E =
-       (2 d + 6) u (A + B), the same E for every column of the row.
-    3. O = D (1 + r), |r| <= delta = (d + 2) u: the rounded difference
-       enters squared, the square rounds once and the sum d - 1 times.
-    4. g = fl(H + A) is off from H + ||a||^2 by at most u |g| + d u A.
-
-    s = (3 d + 8) u (A + B + max(g, 0)) exceeds E + delta (g + E) + u |g| +
-    d u A by at least 2 u (A + B), which covers the rounding of the tests
-    that use s and, for d below 10^7, the second-order terms. So:
-
-    * Value: |g - O| <= s by 2, 3 and 4.
-    * Order: g_j > g_i + 2 s_i (s_i at g_i) gives O_j >= (1 - delta)(g_j -
-      E - u |g_j| - d u A) > (1 + delta)(g_i + E + u |g_i| + d u A) >= O_i.
-    * Coincidence: O = 0 only when x = c, so D = 0 and g <= s by 2 and 4.
-    """
-    return (3 * d + 8) * 2.0**-53 * (xx + cc_max + np.maximum(g, 0.0))
-
-
 def _sq_dist_blocks(rows: _CentredRows, C, nearest=None, floor=2.0):
     """Squared distances g from every row to every row of ``C`` (the
     columns), one row block at a time: yields (block, g).
@@ -190,8 +157,11 @@ def _sq_dist_blocks(rows: _CentredRows, C, nearest=None, floor=2.0):
             uncertified = after - hth <= twice
             limit[uncertified] = np.maximum(limit, hth + twice)[uncertified]
             some = np.flatnonzero(low <= limit)
-            r, c = np.divmod(np.flatnonzero(g[some] <= limit[some, None]), m)
-            r = some[r]
+            # searched in gathers of at most an eighth of a block of rows
+            parts = [some[s] for s in _row_blocks(some.size, 64 * m)] or [some]
+            hits = [np.divmod(np.flatnonzero(g[p] <= limit[p, None]), m) for p in parts]
+            r = np.concatenate([p[i] for p, (i, _) in zip(parts, hits)])
+            c = np.concatenate([j for _, j in hits])
         for chunk in _row_blocks(r.size, 8 * d):  # differences in 2 MiB blocks
             diff = X[block][r[chunk]] - C[c[chunk]]
             g[r[chunk], c[chunk]] = (diff * diff).sum(axis=1)

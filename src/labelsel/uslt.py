@@ -154,6 +154,7 @@ def _logits(rows, centroids, metric, out=None) -> np.ndarray:
         diff = rows[block, None, :] - centroids
         np.einsum("bkd,bkd->bk", diff, diff, out=out[block])
         np.negative(out[block], out=out[block])
+        del diff  # before the next block's differences
     return out
 
 
@@ -603,6 +604,7 @@ def _hard_counts(X, centroids, metric):
     counts = np.zeros(clusters, dtype=np.int64)
     for _, z in _logit_blocks(X, centroids, metric):
         counts += np.bincount(np.argmax(z, axis=1), minlength=clusters)
+        del z  # before the next block is built
     return counts
 
 
@@ -719,6 +721,7 @@ def select_uslt(
         # the softmax row maximum, 1 / (sum of the shifted exponentials)
         z -= z.max(axis=1, keepdims=True)
         confidence[rows] = 1.0 / np.exp(z, out=z).sum(axis=1)
+        del z  # before the next block is built
     picks, shortfall = _per_cluster_argmax(confidence, hard, budget)
     if shortfall:
         raise EmptyClusterError(

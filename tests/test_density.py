@@ -358,6 +358,39 @@ class TestGramOperands:
             assert q.tobytes() == query[i0:i1].tobytes()
 
 
+# inputs that stress each rounding of the float32 proof: centring a large
+# offset, norms that dwarf the distances inside two far clusters, the
+# power-of-two scale at both ends of float64, and exact ties
+SLACK_INPUTS = {
+    "offset": lambda rng: 1e5 + rng.standard_normal((256, 1)),
+    "two clusters": lambda rng: np.repeat([[1.0], [-1.0]], 128, axis=0)
+    + 1e-3 * rng.standard_normal((256, 1)),
+    "tiny spread": lambda rng: 1e-30 * rng.standard_normal((256, 3)),
+    "huge spread": lambda rng: 1e30 * rng.standard_normal((256, 3)),
+    "lattice": lambda rng: lattice(3, 5),
+    "sign lattice": lambda rng: l2_normalize(EmbeddingMatrix(data=sign_lattice())).data,
+}
+
+
+class TestGramSlack:
+    """The float32 case of ``_gram_slack`` bounds every entry of the folded
+    Gram product: each lies within it of the scaled squared distance from
+    float64 differences. On the two clusters the largest error reads over a
+    fifth of the bound, so a bound five times too small fails, as does
+    float64's unit roundoff in place of float32's."""
+
+    @pytest.mark.parametrize("name", sorted(SLACK_INPUTS))
+    def test_every_gram_entry_within_float32_slack(self, name):
+        X = SLACK_INPUTS[name](np.random.default_rng(21))
+        n, d = X.shape
+        ops = density._GramOperands.of(X)
+        gram = (ops.query(0, n) @ ops.base).astype(np.float64)
+        diff = X[:, None, :] - X[None, :, :]
+        exact = ops.scale**2 * np.einsum("ijk,ijk->ij", diff, diff)
+        slack = density._gram_slack(ops.sq[:, None], ops.sq_max, gram, d, np.float32)
+        assert (np.abs(gram - exact) <= slack).all()
+
+
 class TestArgpartitionSlices:
     """``_block_preselect`` runs ``argpartition`` over row slices of each
     Gram block; slices of two or three rows give the graph, fallback count

@@ -151,6 +151,18 @@ class TestPeakMemory:
         limit = 2.5 * B + 8 * self.m * d + 16 * self.n
         assert traced_peak(kmeans._assign_with_dist, rows, C) < limit
 
+    def test_rows_on_centroids_copy_no_block(self):
+        # every centroid sits on a row, so each such row searches its entries
+        # up to its limit; taking the first rows puts whole blocks on
+        # centroids, which must cost what rows drawn across all blocks cost
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((self.n, 8))
+        rows = kmeans._CentredRows.of(X)
+        drawn = X[rng.choice(self.n, self.m, replace=False)]
+        spread = traced_peak(kmeans._assign_with_dist, rows, drawn)
+        first = traced_peak(kmeans._assign_with_dist, rows, X[: self.m].copy())
+        assert first < spread + density._ROW_BLOCK_BYTES / 4
+
     @pytest.mark.parametrize("horizon", [None, 64])
     @pytest.mark.parametrize("d", [3, 64])
     def test_regularize_utilities_holds_one_block(self, d, horizon):
@@ -184,6 +196,24 @@ class TestPeakMemory:
         monkeypatch.setattr(uslt, "fit_centroids", lambda *args, **kwargs: fit)
         peak = traced_peak(select_uslt, matrix, self.m, metric=metric)
         assert peak < self.limit
+
+    @pytest.mark.parametrize("stage", ["occupancy", "pick"])
+    @pytest.mark.parametrize("metric", uslt.METRICS)
+    def test_uslt_logits_hold_one_block(self, monkeypatch, metric, stage):
+        matrix = self.rows(3 if metric == "neg_sq_euclidean" else 64)
+        C = matrix.data[: self.m]
+        if stage == "occupancy":
+            peak = traced_peak(uslt._hard_counts, matrix.data, C, metric)
+        else:
+            state = uslt.UsltState(centroids=C, running_mean=np.full(self.m, 1.0 / self.m))
+            fit = uslt.UsltFitResult(state=state, loss_history=(), occupancy_history=())
+            monkeypatch.setattr(uslt, "fit_centroids", lambda *args, **kwargs: fit)
+            peak = traced_peak(select_uslt, matrix, self.m, metric=metric)
+        # one block of logits and, for neg_sq_euclidean, one of the
+        # differences that build it; length-n outputs and per-row scratch
+        # stay under half a block
+        blocks = 1.5 if metric == "dot" else 2.5
+        assert peak < blocks * density._ROW_BLOCK_BYTES
 
 
 class TestUsltStep:
