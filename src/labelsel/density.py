@@ -8,9 +8,9 @@ rows are ranked by (distance, index): the default sort ranks them, and
 rows with an exact tie among their first k + 1 distances are sorted again
 stably. Every input, whatever its n, goes through one loop over query
 blocks of QUERY_BLOCK rows and one block path, which hands each block's
-ranked rows to a sink. The rows are centred once and rounded to float32,
-and one GEMM per query block gives approximate squared distances with the
-norms folded into the operands. ``argpartition`` keeps kp = min(k +
+ranked rows to a sink. The rows are centred and rounded to float32 block
+by block, and one GEMM per query block gives approximate squared distances
+with the norms folded into the operands. ``argpartition`` keeps kp = min(k +
 CANDIDATE_PAD, n - 1) candidates per row and reads the smallest excluded
 Gram value. The candidates' distances are recomputed exactly and ranked.
 When kp = n - 1 every other point is a candidate, nothing is excluded and
@@ -26,18 +26,20 @@ point, one row at a time, and counted in ``NeighborGraph.fallback_rows``.
 ``build_knn_graph``'s sink stores the rows in an n x k graph (16 bytes per
 entry), which USL-T needs for its neighbor ids. ``knn_utility_scores``'s
 sink checks each block's rows as NeighborGraph does and reduces them to
-their mean distance, so USL and the report hold no n x k array.
+their mean distance, so USL and the report hold no n x k array. The walk
+returns every row's nearest distance: the duplicate check reads it, and
+its minimum at k = 1 is the report's minimum pairwise distance.
 
 Every worker multiplies its query rows by one shared float32 operand,
-(d + 2) x n (``_GramOperands``). The float32 Gram block is a worker's
-largest scratch, QUERY_BLOCK * n * 4 bytes; ``argpartition`` works row by
-row, so it runs over row slices of the block whose int64 output stays
-within _ROW_BLOCK_BYTES (two rows at least). The candidates' distances
-and their ranking take a few QUERY_BLOCK x kp arrays. QUERY_BLOCK is a row
-count, not a byte budget: fewer rows cost CPU, because BLAS packs the
-whole n-row GEMM operand on every call. 128 rows keeps the kNN stage
-within noise of 512-row blocks at n=10,000 and within about 15% at
-n=5,000, at a quarter of the memory.
+(d + 2) x n (``_GramOperands``), built without an n x d copy. The float32
+Gram block is a worker's largest scratch, QUERY_BLOCK * n * 4 bytes;
+``argpartition`` works row by row, so it runs over row slices of the block
+whose int64 output stays within _ROW_BLOCK_BYTES (two rows at least). The
+candidates' distances and their ranking take a few QUERY_BLOCK x kp
+arrays. QUERY_BLOCK is a row count, not a byte budget: fewer rows cost
+CPU, because BLAS packs the whole n-row GEMM operand on every call. 128
+rows keeps the kNN stage within noise of 512-row blocks at n=10,000 and
+within about 15% at n=5,000, at a quarter of the memory.
 
 Exact distances are computed in tiles of at most EXACT_TILE_BYTES of
 differences, over rows and candidates, so a row recomputed against every
@@ -229,7 +231,7 @@ class UtilityScores:
             object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name))))
 
 
-def _exact_block(X: np.ndarray, i0: int, i1: int, cand: np.ndarray) -> np.ndarray:
+def _exact_block(X, i0, i1, cand, scale=1.0):
     """Float64 distances from rows i0:i1 to per-row candidate indices.
 
     Computed from coordinate differences (never from expanded dot products)
@@ -237,9 +239,20 @@ def _exact_block(X: np.ndarray, i0: int, i1: int, cand: np.ndarray) -> np.ndarra
     gathered difference block stays within EXACT_TILE_BYTES, about an L2
     cache, even when a row's candidates are all n points; each entry is
     the same d-term sum whatever the tiling. Every tile reuses one buffer.
+
+    Outside [2^-64, 2^64], ``_GramOperands``' power of two ``scale``
+    multiplies the differences before squaring and divides the distances
+    after the square root, both exactly, so data near float64's limits
+    neither underflows nor overflows and rows times 2^e get distances
+    exactly 2^e times theirs. Inside, that pass (12% of this function on
+    128 x 416 blocks at d = 128) is skipped: the largest centred magnitude
+    is in [2^-65, 2^64), so no sum of squares overflows, and a square
+    underflows only where coordinates differ by less than 2^-511, under
+    2^-446 of it.
     """
     b, c = i1 - i0, cand.shape[1]
     d = X.shape[1]
+    rescale = not 2.0**-64 <= scale <= 2.0**64
     out = np.empty((b, c))
     cols = max(1, min(c, EXACT_TILE_BYTES // (d * 8)))
     rows = max(1, EXACT_TILE_BYTES // (cols * d * 8))
@@ -253,9 +266,14 @@ def _exact_block(X: np.ndarray, i0: int, i1: int, cand: np.ndarray) -> np.ndarra
             # bounds check of the default mode
             np.take(X, cand[t0:t1, c0:c1], axis=0, out=diff, mode="clip")
             diff -= X[i0 + t0 : i0 + t1, None, :]
+            if rescale:
+                diff *= scale
             np.square(diff, out=diff)
             np.sum(diff, axis=2, out=out[t0:t1, c0:c1])
-    return np.sqrt(out, out=out)
+    np.sqrt(out, out=out)
+    if rescale:
+        out /= scale
+    return out
 
 
 def _rank_candidates(dist, cand, k):
@@ -273,15 +291,6 @@ def _rank_candidates(dist, cand, k):
         order[tied] = np.argsort(dist[tied], axis=1, kind="stable")
     # the sorted values do not depend on the order of ties
     return cand[rows, order[:, :k]], np.ascontiguousarray(head[:, :k])
-
-
-def _block_direct(X, i0, i1, k):
-    """Rows i0:i1 ranked against every point: the certificate's fallback."""
-    n = X.shape[0]
-    cand = np.broadcast_to(np.arange(n, dtype=np.int64), (i1 - i0, n))
-    dist = _exact_block(X, i0, i1, cand)
-    dist[np.arange(i1 - i0), np.arange(i0, i1)] = np.inf
-    return _rank_candidates(dist, np.ascontiguousarray(cand), k)
 
 
 @dataclass(frozen=True)
@@ -307,20 +316,22 @@ class _GramOperands:
     @classmethod
     def of(cls, X):
         n, d = X.shape
-        centred = X - X.mean(axis=0)
-        peak = max(float(centred.max()), -float(centred.min()))
+        mean = X.mean(axis=0)
+        # rounding is monotone, so the extreme centred values are those of
+        # each column's extreme rows: no centred n x d copy is needed
+        peak = max(float((X.max(axis=0) - mean).max()), float((mean - X.min(axis=0)).max()))
         scale = math.ldexp(1.0, -math.frexp(peak)[1]) if peak > 0 else 1.0
-        centred *= scale
         base = np.empty((d + 2, n), dtype=np.float32)
         sq = np.empty(n)
         # the float32 rows one block at a time: einsum sums each row on its
         # own, so the norms are those of a whole float32 copy, never held
         for rows in _row_blocks(n, 8 * d):
-            a = centred[rows].astype(np.float32)
+            c = X[rows] - mean
+            c *= scale
+            a = c.astype(np.float32)
             sq[rows] = np.einsum("ij,ij->i", a, a, dtype=np.float64)
             np.multiply(a.T, -2.0, out=base[:d, rows])
-            del a  # before the next block's copy
-        del centred
+            del c, a  # before the next block's rows
         base[d] = sq
         base[d + 1] = 1.0
         return cls(base=base, sq=sq, sq_max=float(sq.max()), scale=scale)
@@ -357,36 +368,42 @@ def _block_preselect(X, ops, i0, i1, k):
     for s in _row_blocks(b, 8 * n):
         cand[s], excluded[s] = _partition_rows(gram[s], kp)
     del gram  # free the block x n array before the recompute
-    nbr, nbd = _rank_candidates(_exact_block(X, i0, i1, cand), cand, k)
+    nbr, nbd = _rank_candidates(_exact_block(X, i0, i1, cand, ops.scale), cand, k)
     if kp == n - 1:  # every other point is a candidate: nothing to certify
         return nbr, nbd, 0
 
     slack = _gram_slack(ops.sq[i0:i1], ops.sq_max, excluded, X.shape[1], np.float32)
     kth = ops.scale * nbd[:, k - 1]
     failed = np.flatnonzero(~(kth * kth < excluded - slack))
-    for r in failed:
-        nbr[r], nbd[r] = _block_direct(X, i0 + r, i0 + r + 1, k)
+    for r in failed:  # ranked against every point, one row at a time
+        everyone = np.arange(n, dtype=np.int64)[None, :]
+        dist = _exact_block(X, i0 + r, i0 + r + 1, everyone, ops.scale)
+        dist[0, i0 + r] = np.inf
+        nbr[r], nbd[r] = _rank_candidates(dist, everyone, k)
     return nbr, nbd, failed.size
 
 
-def _walk_blocks(X, k, workers, sink) -> int:
+def _walk_blocks(X, k, workers, sink):
     """Pass each query block's ranked rows to ``sink(i0, neighbors,
     distances)``, i0 the block's first row, and return the number of rows
-    recomputed in full. Blocks cover disjoint rows, so a sink may write
-    into shared per-row arrays from any worker."""
+    recomputed in full and every row's nearest-neighbor distance. Blocks
+    cover disjoint rows, so a sink may write into shared per-row arrays
+    from any worker."""
     n = X.shape[0]
     ops = _GramOperands.of(X)
+    nearest = np.empty(n)
 
     def run(i0):
         nbr, nbd, fallback = _block_preselect(X, ops, i0, min(i0 + QUERY_BLOCK, n), k)
+        nearest[i0 : i0 + nbd.shape[0]] = nbd[:, 0]
         sink(i0, nbr, nbd)
         return fallback
 
     starts = range(0, n, QUERY_BLOCK)
     if workers > 1 and n > QUERY_BLOCK:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return int(sum(pool.map(run, starts)))
-    return int(sum(map(run, starts)))
+            return int(sum(pool.map(run, starts))), nearest
+    return int(sum(map(run, starts))), nearest
 
 
 def _check_k(n: int, k: int) -> None:
@@ -399,14 +416,8 @@ def _stream_rows(m, k, threads, sink, jitter=False, seed=0) -> int:
     build_knn_graph's duplicate check and jitter retry; returns the number
     of rows recomputed in full."""
     X = m.data
-    nearest = np.empty(m.n)
-
-    def checked(i0, nbr, nbd):
-        nearest[i0 : i0 + nbd.shape[0]] = nbd[:, 0]
-        sink(i0, nbr, nbd)
-
     for attempt in range(2):
-        fallback = _walk_blocks(X, k, resolve_threads(threads), checked)
+        fallback, nearest = _walk_blocks(X, k, resolve_threads(threads), sink)
         dup = np.flatnonzero(nearest == 0.0)
         if dup.size == 0:
             return fallback

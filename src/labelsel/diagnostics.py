@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import UtilityScores, _row_blocks
+from .density import UtilityScores, _walk_blocks
 from .errors import DataError
 from .io import EmbeddingMatrix, LabelVector, SelectionFile, l2_normalize
 
@@ -119,25 +119,14 @@ def _average_rank_percentile(values: np.ndarray) -> np.ndarray:
 
 
 def _min_pairwise_distance(P: np.ndarray) -> float:
-    """Smallest distance between two distinct rows of P.
+    """Smallest distance between two distinct rows of P (at least two).
 
-    Row blocks (``density._row_blocks``) of differences against the later
-    rows, so memory stays O(m * d) however many rows there are. Each pair's
-    squared distance is the same difference arithmetic as one full
-    m x m x d pass, and sqrt is monotone, so the value is bit-identical.
+    The smallest nearest-neighbor distance of the kNN walk at k = 1
+    (``density._walk_blocks``): exact, and as sqrt is monotone, bit-identical
+    to the minimum of one full m x m x d difference pass wherever no square
+    under- or overflows. Coincident rows read 0.0.
     """
-    m, d = P.shape
-    best = math.inf
-    for rows in _row_blocks(m - 1, m * d * 8):
-        i0, i1 = rows.start, rows.stop
-        diff = P[i0:i1, None, :] - P[None, i0 + 1 :, :]
-        np.multiply(diff, diff, out=diff)
-        sq = diff.sum(axis=2)
-        # column c holds row i0 + 1 + c: only pairs with c >= r lie above
-        # the diagonal
-        sq[np.tril_indices(i1 - i0, k=-1, m=sq.shape[1])] = np.inf
-        best = min(best, float(sq.min()))
-    return math.sqrt(best)
+    return float(_walk_blocks(P, 1, 1, lambda *block: None)[1].min())
 
 
 def report(

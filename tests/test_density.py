@@ -62,6 +62,17 @@ class TestBuildKnnGraph:
         np.testing.assert_array_equal(g.neighbors, nbr)
         np.testing.assert_array_equal(g.distances, dist)
 
+    @pytest.mark.parametrize("e", [-1000, -600, 600, 1000])
+    def test_power_of_two_scaling_is_exact(self, e):
+        # unscaled squares of these differences underflow to 0 or overflow
+        # to inf; k = 10 also sends tied rows to the full-row fallback
+        X = lattice(3, 4)
+        g = graph_from(X, 10, threads=1)
+        scaled = graph_from(np.ldexp(X, e), 10, threads=1)
+        np.testing.assert_array_equal(scaled.neighbors, g.neighbors)
+        assert scaled.distances.tobytes() == np.ldexp(g.distances, e).tobytes()
+        assert scaled.fallback_rows == g.fallback_rows > 0
+
     def test_large_path_matches_direct_path(self):
         # an input of many query blocks agrees with brute force
         rng = np.random.default_rng(5)
@@ -581,6 +592,14 @@ class TestScratchMemory:
         n, d = X.shape
         # the centred float64 rows, the operand and one float32 row block
         limit = 8 * n * d + self.operand_bytes(n, d) + density._ROW_BLOCK_BYTES
+        assert traced_peak(density._GramOperands.of, X) < limit
+
+    def test_gram_operands_hold_no_centred_copy(self):
+        # a centred float64 copy of the rows would peak at 16.7 MB
+        X = self.unit_rows().data
+        n, d = X.shape
+        # the operand, one centred float64 row block and its float32 copy
+        limit = self.operand_bytes(n, d) + 2 * density._ROW_BLOCK_BYTES
         assert traced_peak(density._GramOperands.of, X) < limit
 
     def test_walk_scratch_per_worker(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from labelsel import (
     build_knn_graph,
     compare,
     generate_synthetic,
+    l2_normalize,
     random_selection,
     report,
     select_usl,
@@ -23,7 +25,19 @@ from labelsel import density, diagnostics
 from labelsel.density import UtilityScores
 from labelsel.diagnostics import comparison_table
 
-from helpers import average_rank_percentile_oracle, exact_expected_coverage, traced_peak
+from helpers import (
+    average_rank_percentile_oracle,
+    exact_expected_coverage,
+    sign_lattice,
+    traced_peak,
+)
+
+
+# {0, 1, 2}^4: exact distance ties everywhere, each row certified at k = 1
+TIED_LATTICE = np.array(list(itertools.product([0.0, 1.0, 2.0], repeat=4)))
+# the origin and +-e_i in 9-d: the origin's 18 nearest rows tie, so at
+# k = 1 its row fails the certificate and is recomputed in full
+CROSS = np.vstack([np.zeros(9), np.eye(9), -np.eye(9)])
 
 
 @pytest.fixture(scope="module")
@@ -94,15 +108,35 @@ class TestReport:
     @pytest.mark.parametrize("block_bytes", [1, 4096, 16 << 20])
     def test_min_pairwise_distance_bitwise_equals_full_pass(self, monkeypatch, block_bytes):
         monkeypatch.setattr(density, "_ROW_BLOCK_BYTES", block_bytes)
+        inputs = []
         for seed in range(6):
             rng = np.random.default_rng(seed)
             m, d = int(rng.integers(2, 60)), int(rng.integers(1, 9))
             P = 1e3 * (seed % 2) + rng.standard_normal((m, d))
             if seed % 3 == 0:
                 P[m - 1] = P[0]
+            inputs.append(P)
+        # more than k + 17 rows with exact ties, so the certificate runs and,
+        # on CROSS, its full-row fallback; d = 64 and 128 sum their squares
+        # along numpy's unrolled pairwise path
+        inputs.append(TIED_LATTICE)
+        inputs.append(l2_normalize(EmbeddingMatrix(data=sign_lattice())).data)
+        inputs.append(CROSS)
+        rng = np.random.default_rng(6)
+        inputs += [rng.standard_normal((50, d)) for d in (64, 128)]
+        for P in inputs:
+            m = P.shape[0]
             diff = P[:, None, :] - P[None, :, :]
             full = np.sqrt((diff * diff).sum(axis=2))[np.triu_indices(m, k=1)].min()
             assert diagnostics._min_pairwise_distance(P) == full
+
+    @pytest.mark.parametrize("e", [-1000, -600, 600, 1000])
+    def test_min_pairwise_distance_scales_by_powers_of_two(self, e):
+        # unscaled squares of these differences underflow to 0 or overflow
+        # to inf
+        for P in (TIED_LATTICE, CROSS):
+            expected = math.ldexp(diagnostics._min_pairwise_distance(P), e)
+            assert diagnostics._min_pairwise_distance(np.ldexp(P, e)) == expected
 
     def test_min_pairwise_distance_scratch_is_row_block_sized(self):
         # 16 MiB difference blocks would peak at 32.5 MB
