@@ -300,12 +300,14 @@ class _GramOperands:
 
     ``a`` = s * (X - mean) with s a power of two that brings the largest
     magnitude into [0.5, 1), so the float32 copy neither overflows nor
-    underflows in bulk, and the scaling itself is exact. ``base`` holds
-    [-2a, ||a||^2, 1] transposed, (d + 2) x n, so each block's GEMM reads it
-    without a transpose, which OpenBLAS packs faster. A block's query rows
-    [a, 1, ||a||^2] (``query``) are rebuilt from base's columns, exactly, as
-    every entry of -2a is twice a float32, and ``query(i0, i1) @ base[:, j]``
-    = ||a_i||^2 + ||a_j||^2 - 2 a_i.a_j = s^2 ||x_i - x_j||^2.
+    underflows in bulk, and the scaling itself is exact. No float64 power of
+    two reaches a subnormal largest magnitude, so such rows are a DataError.
+    ``base`` holds [-2a, ||a||^2, 1] transposed, (d + 2) x n, so each
+    block's GEMM reads it without a transpose, which OpenBLAS packs faster.
+    A block's query rows [a, 1, ||a||^2] (``query``) are rebuilt from base's
+    columns, exactly, as every entry of -2a is twice a float32, and
+    ``query(i0, i1) @ base[:, j]`` = ||a_i||^2 + ||a_j||^2 - 2 a_i.a_j =
+    s^2 ||x_i - x_j||^2.
     """
 
     base: np.ndarray  # [-2a, ||a||^2, 1] transposed, float32
@@ -320,6 +322,8 @@ class _GramOperands:
         # rounding is monotone, so the extreme centred values are those of
         # each column's extreme rows: no centred n x d copy is needed
         peak = max(float((X.max(axis=0) - mean).max()), float((mean - X.min(axis=0)).max()))
+        if 0.0 < peak < np.finfo(np.float64).tiny:
+            raise DataError("rows differ only by subnormal amounts; rescale them")
         scale = math.ldexp(1.0, -math.frexp(peak)[1]) if peak > 0 else 1.0
         base = np.empty((d + 2, n), dtype=np.float32)
         sq = np.empty(n)

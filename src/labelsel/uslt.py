@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from .density import _row_blocks, build_knn_graph
 from .errors import DataError, EmptyClusterError, NumericalError
 from .io import EmbeddingMatrix, _frozen
+from .kmeans import _CentredRows, _sq_dist_blocks
 from .usl import SelectionResult, _per_cluster_argmax
 
 METRICS = ("dot", "neg_sq_euclidean")
@@ -68,9 +68,7 @@ class UsltParams:
 
     @classmethod
     def small_scale(cls, **overrides) -> "UsltParams":
-        base = dict(adjust_alpha=5.0, temperature=0.25, loss_weight=5.0)
-        base.update(overrides)
-        return cls(**base)
+        return cls(**overrides)
 
     @classmethod
     def large_scale(cls, **overrides) -> "UsltParams":
@@ -144,17 +142,21 @@ def _check_dim(x: np.ndarray, centroids: np.ndarray) -> None:
 
 def _logits(rows, centroids, metric, out=None) -> np.ndarray:
     """Logits of a 2-D batch of rows, written to ``out`` when given; every
-    logit of this module comes from here."""
+    logit of this module comes from here.
+
+    neg_sq_euclidean's are k-means' certified squared distances, negated,
+    with the rows centred on the centroids' mean, so a row's logits do not
+    depend on the other rows of its batch, and its argmax is that of a full
+    difference pass, ties to the lower id.
+    """
     if out is None:
         out = np.empty((rows.shape[0], centroids.shape[0]))
     if metric == "dot":
         return np.matmul(rows, centroids.T, out=out)
-    # one row block of the rows x C x d differences at a time
-    for block in _row_blocks(rows.shape[0], 8 * centroids.size):
-        diff = rows[block, None, :] - centroids
-        np.einsum("bkd,bkd->bk", diff, diff, out=out[block])
-        np.negative(out[block], out=out[block])
-        del diff  # before the next block's differences
+    centred = _CentredRows(rows, centroids.mean(axis=0))
+    for block, g in _sq_dist_blocks(centred, centroids, nearest=1):
+        np.negative(g, out=out[block])
+        del g  # before the next block is built
     return out
 
 
@@ -403,21 +405,6 @@ def _softmax_rows(z, peak, out):
     return sums
 
 
-class _Terms(NamedTuple):
-    """One batch's total loss and gradient, and the terms they sum."""
-
-    loss: float
-    grad: np.ndarray
-    hard: np.ndarray
-    mask: np.ndarray
-    global_loss: float
-    global_grad: np.ndarray
-    global_per_sample: np.ndarray
-    local_loss: float
-    local_grad: np.ndarray
-    local_per_sample: np.ndarray
-
-
 class _BatchLoss:
     """The total loss of minibatches of one size, over four reused B x C
     buffers. ``total_loss`` and every ``fit_centroids`` step run it.
@@ -465,7 +452,7 @@ class _BatchLoss:
         _softmax_rows(work, work.max(axis=1, keepdims=True), work)
         return work.mean(axis=0)
 
-    def loss(self, X, centroids, targets, params, metric) -> _Terms:
+    def loss(self, X, centroids, targets, params, metric) -> TotalLossResult:
         """The global term plus loss_weight times the local term."""
         n = X.shape[0]
         rows, z, soft, work = self.rows, self.z, self.soft, self.work
@@ -494,17 +481,20 @@ class _BatchLoss:
         np.subtract(soft, targets, out=work)
         work /= n
         local_grad = _chain_to_centroids(work, X, centroids, metric)
-        return _Terms(
+        return TotalLossResult(
             loss=global_loss + params.loss_weight * local_loss,
             grad=global_grad + params.loss_weight * local_grad,
-            hard=hard,
-            mask=mask,
-            global_loss=global_loss,
-            global_grad=global_grad,
-            global_per_sample=global_per_sample,
-            local_loss=local_loss,
-            local_grad=local_grad,
-            local_per_sample=local_per_sample,
+            global_result=GlobalLossResult(
+                loss=global_loss,
+                grad=global_grad,
+                per_sample=global_per_sample,
+                confident_mask=mask,
+                no_confident=not bool(mask.any()),
+                hard_labels=hard,
+            ),
+            local_result=LocalLossResult(
+                loss=local_loss, grad=local_grad, per_sample=local_per_sample, targets=targets
+            ),
         )
 
 
@@ -535,25 +525,7 @@ def total_loss(
             raise DataError("local targets must have shape (batch size, clusters)")
         if (targets < 0).any():
             raise DataError("local targets must be non-negative")
-    t = batch.loss(X, state.centroids, targets, params, metric)
-    return TotalLossResult(
-        loss=t.loss,
-        grad=t.grad,
-        global_result=GlobalLossResult(
-            loss=t.global_loss,
-            grad=t.global_grad,
-            per_sample=t.global_per_sample,
-            confident_mask=t.mask,
-            no_confident=not bool(t.mask.any()),
-            hard_labels=t.hard,
-        ),
-        local_result=LocalLossResult(
-            loss=t.local_loss,
-            grad=t.local_grad,
-            per_sample=t.local_per_sample,
-            targets=targets,
-        ),
-    )
+    return batch.loss(X, state.centroids, targets, params, metric)
 
 
 @dataclass(frozen=True)

@@ -284,6 +284,18 @@ class TestReportCommand:
             ["report", "--embeddings", emb, "--labels", short, "--selection", sel]
         ) == 2
 
+    def test_subnormal_rows_exit_2(self, tmp_path):
+        X = np.random.default_rng(0).standard_normal((40, 3)) * 1e-315
+        emb = tmp_path / "tiny.csv"
+        np.savetxt(emb, X, delimiter=",")
+        lab = tmp_path / "y.txt"
+        lab.write_text("0\n1\n" * 20)
+        sel = tmp_path / "s.txt"
+        sel.write_text("0\n1\n")
+        assert run(
+            ["report", "--embeddings", emb, "--labels", lab, "--selection", sel, "--k", 5]
+        ) == 2
+
 
 class TestVerifyCommand:
     def test_fresh_install_passes(self, capsys):

@@ -73,6 +73,15 @@ class TestBuildKnnGraph:
         assert scaled.distances.tobytes() == np.ldexp(g.distances, e).tobytes()
         assert scaled.fallback_rows == g.fallback_rows > 0
 
+    def test_subnormal_spread_is_a_data_error(self):
+        # no float32 operand scale reaches rows that differ only by subnormal
+        # amounts; rows near the bottom of the normal range still build
+        X = np.random.default_rng(0).standard_normal((40, 3))
+        with pytest.raises(DataError, match="subnormal"):
+            graph_from(X * 1e-315, 5)
+        g = graph_from(X, 5)
+        np.testing.assert_array_equal(graph_from(X * 1e-300, 5).neighbors, g.neighbors)
+
     def test_large_path_matches_direct_path(self):
         # an input of many query blocks agrees with brute force
         rng = np.random.default_rng(5)

@@ -209,16 +209,17 @@ class TestPeakMemory:
             fit = uslt.UsltFitResult(state=state, loss_history=(), occupancy_history=())
             monkeypatch.setattr(uslt, "fit_centroids", lambda *args, **kwargs: fit)
             peak = traced_peak(select_uslt, matrix, self.m, metric=metric)
-        # one block of logits and, for neg_sq_euclidean, one of the
-        # differences that build it; length-n outputs and per-row scratch
+        # one block of logits and, for neg_sq_euclidean, one of the kernel's
+        # distances that build it; length-n outputs and per-row scratch
         # stay under half a block
         blocks = 1.5 if metric == "dot" else 2.5
         assert peak < blocks * density._ROW_BLOCK_BYTES
 
 
 class TestUsltStep:
-    """Each USL-T step's logits hold at most one row block of the batch x
-    clusters x d differences that neg_sq_euclidean needs."""
+    """Each USL-T step's neg_sq_euclidean logits come from the distance
+    kernel, one row block of the batch x clusters distances at a time, and
+    no batch x clusters x d array."""
 
     @staticmethod
     def fit(matrix, clusters, metric, steps, batch_size):
@@ -226,7 +227,7 @@ class TestUsltStep:
         return fit_centroids(matrix, clusters, UsltParams(), opt, metric, threads=1)
 
     def test_peak_memory_as_for_dot(self):
-        # 256 x 1,000 x 64 float64 differences are 131 MB per batch
+        # 256 x 1,000 x 64 float64 differences would be 131 MB per batch
         rng = np.random.default_rng(5)
         matrix = l2_normalize(EmbeddingMatrix(data=rng.standard_normal((5000, 64))))
         peaks = {}
@@ -236,9 +237,12 @@ class TestUsltStep:
 
     @pytest.mark.parametrize("metric", uslt.METRICS)
     def test_fit_byte_identical_to_one_block(self, monkeypatch, metric):
-        # a batch of 200 x 200 x 16 differences (5 MB) spans three default blocks
+        # a batch of 200 x 200 distances or logits fits one default block,
+        # so the budget is cut to 64 of its rows
         matrix = mixture(8, 50, 16, seed=6)
-        blocked = self.fit(matrix, 200, metric, steps=8, batch_size=200)
+        with monkeypatch.context() as mp:
+            mp.setattr(density, "_ROW_BLOCK_BYTES", 64 * 8 * 200)
+            blocked = self.fit(matrix, 200, metric, steps=8, batch_size=200)
         monkeypatch.setattr(density, "_ROW_BLOCK_BYTES", 1 << 40)
         whole = self.fit(matrix, 200, metric, steps=8, batch_size=200)
         assert blocked.state.centroids.tobytes() == whole.state.centroids.tobytes()

@@ -28,11 +28,16 @@ from labelsel import (
     similarities,
     total_loss,
 )
-from labelsel import build_knn_graph, checks, density
+from labelsel import build_knn_graph, checks, density, uslt
 from labelsel.usl import _per_cluster_argmax
 from labelsel.uslt import local_targets, softmax
 
-from helpers import reference_fit, reference_uslt_picks, sign_lattice
+from helpers import (
+    nearest_centroid_oracle,
+    reference_fit,
+    reference_uslt_picks,
+    sign_lattice,
+)
 
 
 def state_of(centroids, running_mean=None):
@@ -81,6 +86,69 @@ class TestSimilarities:
     def test_unknown_metric(self):
         with pytest.raises(DataError, match="metric"):
             similarities(np.ones(2), state_of(np.ones((2, 2))), "cosine")
+
+
+def neg_sq_case(name):
+    """Rows and centroids placed on some of them: the sign lattice, raw or
+    normalized, whose distances tie exactly, or Gaussian rows at a 1e3
+    offset, where a Gram expansion loses digits."""
+    rng = np.random.default_rng(31)
+    if name == "offset":
+        X = 1e3 + rng.standard_normal((300, 6))
+    else:
+        X = sign_lattice()
+        if name == "unit-lattice":
+            X = l2_normalize(EmbeddingMatrix(data=X)).data
+    return X, X[rng.choice(X.shape[0], 24, replace=False)]
+
+
+class TestNegSqLogits:
+    """neg_sq_euclidean logits are k-means' certified squared distances,
+    negated, with the rows centred on the centroids' mean."""
+
+    cases = pytest.mark.parametrize("name", ["lattice", "unit-lattice", "offset"])
+
+    @cases
+    def test_other_rows_of_the_batch_change_no_logit(self, name):
+        X, C = neg_sq_case(name)
+        want = uslt._logits(X, C, "neg_sq_euclidean")
+        for s in [slice(0, 1), slice(7, 9), slice(40, 43), slice(100, 117), slice(200, None)]:
+            other = X[::-1].copy()  # a batch of the same shape around X[s]
+            other[s] = X[s]
+            got = uslt._logits(other, C, "neg_sq_euclidean")
+            assert got[s].tobytes() == want[s].tobytes(), s
+
+    @cases
+    def test_hard_assignment_is_the_difference_argmin(self, monkeypatch, name):
+        X, C = neg_sq_case(name)
+        want, _ = nearest_centroid_oracle(X, C)
+        if name != "offset":  # exact ties, which go to the lower id
+            d2 = ((X[:, None, :] - C) ** 2).sum(axis=2)
+            assert ((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1).any()
+        counts = uslt._hard_counts(X, C, "neg_sq_euclidean")
+        assert counts.tobytes() == np.bincount(want, minlength=C.shape[0]).tobytes()
+        seen = []
+
+        def spy(confidence, hard, budget):
+            seen.append(hard.copy())
+            return _per_cluster_argmax(confidence, hard, budget)
+
+        fit = uslt.UsltFitResult(state=state_of(C), loss_history=(), occupancy_history=())
+        monkeypatch.setattr(uslt, "fit_centroids", lambda *args, **kwargs: fit)
+        monkeypatch.setattr(uslt, "_per_cluster_argmax", spy)
+        select_uslt(EmbeddingMatrix(data=X), C.shape[0], metric="neg_sq_euclidean")
+        np.testing.assert_array_equal(seen[0], want)
+
+    @cases
+    def test_every_logit_within_slack_of_the_difference_distance(self, name):
+        X, C = neg_sq_case(name)
+        g = -uslt._logits(X, C, "neg_sq_euclidean")
+        exact = ((X[:, None, :] - C) ** 2).sum(axis=2)
+        mu = C.mean(axis=0)
+        xx = ((X - mu) ** 2).sum(axis=1)
+        cc_max = float(((C - mu) ** 2).sum(axis=1).max())
+        slack = density._gram_slack(xx[:, None], cc_max, g, X.shape[1])
+        assert (np.abs(g - exact) <= slack).all()
 
 
 class TestAssign:
