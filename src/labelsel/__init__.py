@@ -16,7 +16,6 @@ from .density import (
     NeighborGraph,
     UtilityScores,
     build_knn_graph,
-    knn_density,
     knn_utility_scores,
     mean_knn_distance,
     utility_scores,
@@ -103,7 +102,6 @@ __all__ = [
     "global_loss",
     "kmeans_equivalence_decomposition",
     "kmeans_fit",
-    "knn_density",
     "knn_utility_scores",
     "l2_normalize",
     "load_embeddings",

@@ -277,6 +277,7 @@ def cmd_report(args) -> int:
             f"label file covers {labels.n} instances but matrix has {matrix.n}"
         )
     k = args.k if args.k is not None else min(400, matrix.n - 1)
+    _check_knn_k(k, matrix.n)
     util = knn_utility_scores(matrix, k, threads=args.threads)
     named = []
     for item in args.selection:

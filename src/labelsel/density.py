@@ -1,5 +1,5 @@
-"""Exact k-nearest-neighbor rows, as a graph or as kNN density / utility
-scores.
+"""Exact k-nearest-neighbor rows, as a graph or as utility scores (the
+reciprocal of the mean kNN distance, USL's kNN-density score).
 
 The rows are exact under Euclidean distance with ties broken by lower
 index. Every reported distance is computed in float64 from coordinate
@@ -483,31 +483,6 @@ def knn_utility_scores(m: EmbeddingMatrix, k: int, *, threads: int | None = None
 def mean_knn_distance(g: NeighborGraph) -> np.ndarray:
     """Average distance to the k nearest neighbors, per instance."""
     return g.distances.mean(axis=1)
-
-
-def knn_density(g: NeighborGraph, d: int, mode: str = "mean") -> np.ndarray:
-    """Log kNN density estimate, log p = log(k/n) - log A_d - d*log D.
-
-    ``mode="kth"`` uses the distance to the k-th neighbor; ``mode="mean"``
-    uses the average over all k neighbors, which is robust to noise. A_d is
-    the unit-ball volume pi^(d/2) / Gamma(d/2 + 1), evaluated through
-    log-Gamma so large d neither overflows nor underflows. Only orderings
-    are ever consumed downstream; absolute values are exposed for
-    completeness.
-    """
-    if d < 1:
-        raise DataError(f"dimension must be >= 1, got {d}")
-    if mode == "kth":
-        D = g.distances[:, -1]
-    elif mode == "mean":
-        D = mean_knn_distance(g)
-    else:
-        raise DataError(f"unknown density mode {mode!r}")
-    zero = np.flatnonzero(D == 0.0)
-    if zero.size:
-        raise DuplicatePointsError(zero.tolist())
-    log_ad = (d / 2.0) * math.log(math.pi) - math.lgamma(d / 2.0 + 1.0)
-    return math.log(g.k / g.n) - log_ad - d * np.log(D)
 
 
 def utility_scores(g: NeighborGraph) -> UtilityScores:

@@ -16,7 +16,7 @@ can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -106,18 +106,14 @@ class SelectionFile:
     """Ordered list of distinct selected instance indices."""
 
     indices: np.ndarray
-    budget: int = field(default=-1)
 
     def __post_init__(self):
         indices = np.asarray(self.indices, dtype=np.int64)
-        budget = self.budget if self.budget != -1 else indices.size
-        if budget < 1:
+        if indices.ndim != 1:
+            raise DataError(f"selection indices must be 1-D, got shape {indices.shape}")
+        if indices.size < 1:
             raise DataError("selection budget must be >= 1")
-        if indices.ndim != 1 or indices.size != budget:
-            raise DataError(
-                f"selection holds {indices.size} indices but budget is {budget}"
-            )
-        if indices.size and indices.min() < 0:
+        if indices.min() < 0:
             raise DataError("selection indices must be non-negative")
         if np.unique(indices).size != indices.size:
             seen, dup = set(), None
@@ -128,7 +124,10 @@ class SelectionFile:
                 seen.add(i)
             raise DataError(f"duplicate index {dup} in selection")
         object.__setattr__(self, "indices", _frozen(indices))
-        object.__setattr__(self, "budget", int(budget))
+
+    @property
+    def budget(self) -> int:
+        return self.indices.size
 
     def validate_against(self, n: int) -> None:
         if self.indices.max() >= n:
@@ -165,7 +164,8 @@ def _load_fvecs(path: Path) -> EmbeddingMatrix:
     if dim < 1:
         raise FormatError(f"{path}: invalid dimension {dim} at byte offset 0")
     record = 4 * (dim + 1)
-    if raw.size % record != 0:
+    table = raw.view("<i4").reshape(-1, dim + 1) if raw.size % record == 0 else None
+    if table is None or (table[:, 0] != dim).any():
         # find the first record whose header or payload is broken
         offset = 0
         while offset + 4 <= raw.size:
@@ -179,14 +179,6 @@ def _load_fvecs(path: Path) -> EmbeddingMatrix:
                 raise FormatError(f"{path}: truncated record at byte offset {offset}")
             offset += 4 * (d_i + 1)
         raise FormatError(f"{path}: truncated record at byte offset {offset}")
-    table = raw.view("<i4").reshape(-1, dim + 1)
-    dims = table[:, 0]
-    if not (dims == dim).all():
-        bad = int(np.argmin(dims == dim))
-        raise FormatError(
-            f"{path}: inconsistent dimension {int(dims[bad])} (expected {dim}) "
-            f"at byte offset {bad * record}"
-        )
     data = table[:, 1:].view("<f4").astype(np.float64)
     if not np.isfinite(data).all():
         r, c = np.argwhere(~np.isfinite(data))[0]

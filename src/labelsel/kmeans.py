@@ -3,7 +3,9 @@
 Deterministic by construction: seeded PCG64 generator (recorded in the
 result), ties in assignment broken toward the lower cluster id, empty
 clusters repaired by re-seeding to the farthest point of the largest
-cluster. The objective is the within-cluster sum of squares.
+cluster. The objective is the within-cluster sum of squares; Lloyd stops at
+a relative decrease of at most DEFAULT_TOL or after DEFAULT_MAX_ITERS
+iterations.
 
 Every float64 distance from the rows to a few columns (centroids, seeding
 trials, ``usl`` selections) comes from one kernel, ``_sq_dist_blocks``: one
@@ -106,12 +108,14 @@ def _sq_dist_blocks(rows: _CentredRows, C, nearest=None, floor=2.0):
     relatively accurate to 1 / (floor - 1)); and, for the rule "the
     ``nearest`` h columns" (h < len(C) unless h = 1), in each row whose h-th
     smallest g is not below the next by more than 2 s (s at the h-th), every
-    entry up to 2 s above the h-th. Keeping a row's h smallest g, ties to the
-    lower column (``argmin``, ``usl._nearest``), then keeps the columns of a
-    full difference pass: in a certified row they lie more than 2 s below
-    the rest (the order bound); in any other, every candidate is exact and h
-    of them lie below every entry left from the GEMM. No n x len(C) array is
-    built.
+    entry up to 2 s above the h-th. Each consumer ranks by its own key, ties
+    to the lower column: k-means by g (``argmin``), the horizon by distance,
+    sqrt(g) (``usl._nearest``). For any key monotone in g, the h columns it
+    keeps are those it keeps on a full difference pass: in a certified row
+    they lie more than 2 s below the rest (the order bound); in any other,
+    every candidate is exact and h of them lie below every entry left from
+    the GEMM. Distinct exact g can share a square root, so the horizon's
+    columns are not those of the h smallest g. No n x len(C) array is built.
     """
     X = rows.X
     n, d = X.shape
@@ -292,24 +296,14 @@ def _repair_empty(X, centroids, assignment, empty):
     return centroids
 
 
-def kmeans_fit(
-    m,
-    clusters: int,
-    init: str = "kmeanspp",
-    max_iters: int = DEFAULT_MAX_ITERS,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
-) -> Clustering:
-    """Lloyd's algorithm; stops when the relative objective decrease drops
-    below ``tol`` or after ``max_iters`` full iterations."""
+def kmeans_fit(m, clusters: int, init: str = "kmeanspp", seed: int = 0) -> Clustering:
+    """Lloyd's algorithm from ``init`` seeds ("kmeanspp" or
+    "random_points"). Clusters still empty after one last repair round make
+    Clustering raise EmptyClusterError."""
     X = _as_data(m)
     n = X.shape[0]
     if not 1 <= clusters <= n:
         raise DataError(f"clusters must be in [1, n] = [1, {n}], got {clusters}")
-    if max_iters < 1:
-        raise DataError("max_iters must be >= 1")
-    if tol < 0:
-        raise DataError("tol must be >= 0")
     if not np.isfinite(X).all():
         raise DataError("non-finite value in input matrix")
     rng = np.random.default_rng(seed)
@@ -325,35 +319,28 @@ def kmeans_fit(
     assignment, best = _assign_with_dist(rows, centroids)
     prev = float(best.sum())
     history = [prev]
-    iterations = 0
-    for _ in range(max_iters):
+    for _ in range(DEFAULT_MAX_ITERS):
         centroids, empty = _update_from_columns(XT, assignment, clusters)
         if empty:
             centroids = _repair_empty(X, centroids, assignment, empty)
         assignment, best = _assign_with_dist(rows, centroids)
         obj = float(best.sum())
-        iterations += 1
         history.append(obj)
-        if prev - obj <= tol * prev:
-            prev = obj
+        if prev - obj <= DEFAULT_TOL * prev:
             break
         prev = obj
 
-    counts = np.bincount(assignment, minlength=clusters)
-    if (counts == 0).any():
-        # one more repair round before giving up
-        centroids = _repair_empty(X, centroids, assignment, np.flatnonzero(counts == 0).tolist())
+    empty = np.flatnonzero(np.bincount(assignment, minlength=clusters) == 0)
+    if empty.size:  # one more repair round before Clustering gives up
+        centroids = _repair_empty(X, centroids, assignment, empty.tolist())
         assignment = _assign_with_dist(rows, centroids)[0]
-        counts = np.bincount(assignment, minlength=clusters)
-        if (counts == 0).any():
-            raise EmptyClusterError(np.flatnonzero(counts == 0).tolist())
     del XT, rows  # the objective's n x d array is the only one left
     return Clustering(
         num_clusters=clusters,
         assignment=assignment,
         centroids=centroids,
         objective=objective_value(X, centroids, assignment),
-        iterations_run=iterations,
+        iterations_run=len(history) - 1,
         objective_history=tuple(history),
         seed=seed,
     )

@@ -284,6 +284,23 @@ class TestReportCommand:
             ["report", "--embeddings", emb, "--labels", short, "--selection", sel]
         ) == 2
 
+    def test_k_not_below_n_usage_error(self, tmp_path, capsys):
+        # as `select` does: a usage error (exit 1) that names --k
+        emb, lab = tmp_path / "x.fvecs", tmp_path / "y.txt"
+        assert run(
+            ["synth", "--modes", 3, "--per-mode", 10, "--out-embeddings", emb,
+             "--out-labels", lab]
+        ) == 0
+        sel = tmp_path / "s.txt"
+        sel.write_text("0\n1\n2\n")
+        capsys.readouterr()
+        assert run(
+            ["report", "--embeddings", emb, "--labels", lab, "--selection", sel, "--k", 30]
+        ) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--k" in err
+        assert "resolves to 30" in err and "n = 30" in err
+
     def test_subnormal_rows_exit_2(self, tmp_path):
         X = np.random.default_rng(0).standard_normal((40, 3)) * 1e-315
         emb = tmp_path / "tiny.csv"

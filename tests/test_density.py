@@ -1,7 +1,6 @@
 import itertools
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,7 +12,6 @@ from labelsel import (
     NeighborGraph,
     UslParams,
     build_knn_graph,
-    knn_density,
     knn_utility_scores,
     l2_normalize,
     mean_knn_distance,
@@ -695,65 +693,6 @@ class TestMeanKnnDistance:
         np.testing.assert_allclose(mean_knn_distance(g), direct, rtol=1e-12)
 
 
-class TestKnnDensity:
-    def test_unit_ball_constant_d2(self):
-        X = np.array([[0.0, 0.0], [1.0, 0.0]])
-        g = graph_from(X, 1)
-        logp = knn_density(g, d=2, mode="mean")
-        np.testing.assert_allclose(logp, math.log(0.5) - math.log(math.pi), rtol=1e-13)
-
-    def test_ranking_matches_utility(self):
-        rng = np.random.default_rng(8)
-        X = rng.standard_normal((80, 6))
-        g = graph_from(X, 10)
-        logp = knn_density(g, d=6, mode="mean")
-        u = utility_scores(g).utility
-        np.testing.assert_array_equal(
-            np.lexsort((np.arange(80), -logp)), np.lexsort((np.arange(80), -u))
-        )
-
-    def test_high_dimension_finite_and_matches_mpmath(self):
-        rng = np.random.default_rng(9)
-        X = l2_normalize(EmbeddingMatrix(data=rng.standard_normal((5, 128)))).data
-        g = graph_from(X, 2)
-        logp = knn_density(g, d=128, mode="mean")
-        assert np.isfinite(logp).all()
-        mpmath.mp.dps = 50
-        dbar = mean_knn_distance(g)
-        for i in range(5):
-            expect = (
-                mpmath.log(mpmath.mpf(2) / 5)
-                - (mpmath.mpf(128) / 2) * mpmath.log(mpmath.pi)
-                + mpmath.loggamma(mpmath.mpf(128) / 2 + 1)
-                - 128 * mpmath.log(mpmath.mpf(dbar[i]))
-            )
-            assert abs(logp[i] - float(expect)) < 1e-10
-
-    def test_kth_mode_uses_last_neighbor(self):
-        X = np.array([[0.0], [1.0], [3.0]])
-        g = graph_from(X, 2)
-        logp_kth = knn_density(g, d=1, mode="kth")
-        expect = math.log(2 / 3) - math.log(2.0) - np.log(g.distances[:, -1])
-        np.testing.assert_allclose(logp_kth, expect, rtol=1e-13)
-
-    def test_zero_distance_reports_index(self):
-        g = NeighborGraph(
-            k=1, neighbors=np.array([[1], [0], [0]]),
-            distances=np.array([[0.0], [0.0], [5.0]]),
-        )
-        with pytest.raises(DuplicatePointsError) as e:
-            knn_density(g, d=2)
-        assert 0 in e.value.indices
-
-    def test_invalid_mode_and_dim(self):
-        X = np.array([[0.0], [1.0]])
-        g = graph_from(X, 1)
-        with pytest.raises(DataError):
-            knn_density(g, d=0)
-        with pytest.raises(DataError):
-            knn_density(g, d=2, mode="median")
-
-
 class TestUtilityScores:
     def test_reciprocal(self):
         g = NeighborGraph(
@@ -762,6 +701,15 @@ class TestUtilityScores:
         u = utility_scores(g)
         np.testing.assert_allclose(u.utility, [0.5, 2.0])
         np.testing.assert_allclose(u.utility * u.mean_knn_distance, 1.0, rtol=1e-12)
+
+    def test_zero_distance_reports_index(self):
+        g = NeighborGraph(
+            k=1, neighbors=np.array([[1], [0], [0]]),
+            distances=np.array([[0.0], [0.0], [5.0]]),
+        )
+        with pytest.raises(DuplicatePointsError) as e:
+            utility_scores(g)
+        assert e.value.indices == [0, 1]
 
     def test_outlier_has_minimal_utility(self):
         rng = np.random.default_rng(10)

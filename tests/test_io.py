@@ -79,6 +79,17 @@ class TestLoadEmbeddings:
         with pytest.raises(FormatError, match="byte offset 12"):
             load_embeddings(p)
 
+    def test_fvecs_bad_second_header_in_whole_records(self, tmp_path):
+        # the size divides into 12-byte records, so no payload is truncated
+        p = tmp_path / "bad.fvecs"
+        with open(p, "wb") as f:
+            f.write(struct.pack("<i2f", 2, 1.0, 2.0))
+            f.write(struct.pack("<i2f", 5, 3.0, 4.0))
+        with pytest.raises(
+            FormatError, match=r"inconsistent dimension 5 \(expected 2\) at byte offset 12$"
+        ):
+            load_embeddings(p)
+
     def test_fvecs_truncated_record(self, tmp_path):
         p = tmp_path / "trunc.fvecs"
         with open(p, "wb") as f:
@@ -233,9 +244,9 @@ class TestSelectionFile:
         with pytest.raises(DataError, match="out of range"):
             load_selection(p, n=5)
 
-    def test_budget_mismatch(self):
-        with pytest.raises(DataError):
-            SelectionFile(indices=np.array([1, 2]), budget=3)
+    def test_two_dimensional_indices_rejected_with_shape(self):
+        with pytest.raises(DataError, match=r"1-D, got shape \(2, 2\)"):
+            SelectionFile(indices=np.array([[1, 2], [3, 4]]))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31), budget=st.integers(1, 50))

@@ -320,10 +320,6 @@ class TestValidationAndRepair:
         with pytest.raises(DataError):
             kmeans_fit(X, 5)
         with pytest.raises(DataError):
-            kmeans_fit(X, 2, max_iters=0)
-        with pytest.raises(DataError):
-            kmeans_fit(X, 2, tol=-1.0)
-        with pytest.raises(DataError):
             kmeans_fit(X, 2, init="plusplus")
 
     def test_duplicated_data_shortfall_raises(self):

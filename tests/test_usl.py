@@ -23,7 +23,7 @@ from labelsel import (
     select_uslt,
     utility_scores,
 )
-from labelsel import density, usl
+from labelsel import density, kmeans, usl
 from labelsel.density import UtilityScores
 from labelsel.kmeans import Clustering
 
@@ -180,6 +180,43 @@ class TestRegularizeUtilities:
         keep = usl._nearest(dist, h)
         for i in range(X.shape[0]):
             assert np.flatnonzero(keep[i]).tolist() == sorted(horizon_oracle(dist[i], h))
+
+    @pytest.mark.parametrize("h", [1, 2, 5, 10, 30])
+    def test_horizon_keeps_oracle_set_on_normalized_sign_lattice(self, h):
+        # exact ties of difference-based distances whose squares, as the
+        # kernel computes them, can differ in the last bit: the horizon must
+        # rank by distance (ranking these g breaks 45 of the 1,210 rows)
+        X = l2_normalize(EmbeddingMatrix(data=sign_lattice())).data
+        n, m = X.shape[0], 40
+        rng = np.random.default_rng(h)
+        selected = rng.choice(n, size=m, replace=False)
+        blocks = kmeans._sq_dist_blocks(
+            kmeans._CentredRows.of(X, store=False), X[selected], nearest=h,
+            floor=usl._REG_EXACT_MARGIN,
+        )
+        keep = usl._nearest(np.sqrt(np.concatenate([g for _, g in blocks])), h)
+        dist = np.sqrt(((X[:, None, :] - X[selected][None, :, :]) ** 2).sum(axis=2))
+        for i in range(n):
+            assert np.flatnonzero(keep[i]).tolist() == sorted(horizon_oracle(dist[i], h))
+
+        # and the penalty, with the kept selections owned by random clusters
+        assignment = rng.integers(0, m, size=n)
+        assignment[selected] = np.arange(m)
+        cl = Clustering(
+            num_clusters=m, assignment=assignment, centroids=np.zeros((m, 5)),
+            objective=0.0, iterations_run=0,
+        )
+        util = UtilityScores(mean_knn_distance=np.ones(n), utility=np.ones(n))
+        params = UslParams(k=1, reg_alpha=1.0, momentum=0.0, iterations=1, horizon=h)
+        _, state = regularize_utilities(
+            EmbeddingMatrix(data=X), util, cl, selected, np.zeros(n), params
+        )
+        for i in range(n):
+            kept = [
+                j for j in horizon_oracle(dist[i], h)
+                if assignment[selected[j]] != assignment[i] and dist[i, j] > 0
+            ]
+            assert state[i] == pytest.approx(sum(1.0 / dist[i, j] for j in kept), rel=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31), m=st.integers(2, 12), h=st.integers(1, 11))
