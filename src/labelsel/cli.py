@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +30,8 @@ from .io import (
     save_selection,
     SelectionFile,
 )
-from .usl import UslParams, select_usl
-from .uslt import OptimizerConfig, UsltParams, select_uslt
+from .usl import SelectionResult, UslParams, select_usl
+from .uslt import METRICS, OptimizerConfig, UsltParams, select_uslt
 
 REPORT_FORMAT_VERSION = 1
 
@@ -64,60 +64,77 @@ def _write_json(path, payload):
     Path(path).write_text(json.dumps(_json_clean(payload), indent=2) + "\n", encoding="utf-8")
 
 
+# The tuning flags of `select`: argparse dest -> (flag, type, {method:
+# field}). The type is argparse's, or a tuple of the allowed values. The
+# field names where the method's report ``params`` hold the value:
+# "optimizer.<name>" is a field of USL-T's OptimizerConfig, "metric" is
+# select_uslt's metric, and any other name a field of UslParams (usl) or
+# UsltParams (uslt). A flag set for a method it has no entry for is a usage
+# error; the report lists the set flags in this order.
+_TUNING_FLAGS = {
+    "k": ("--k", int, {"usl": "k", "uslt": "neighbor_k"}),
+    "lam": ("--lambda", float, {"usl": "reg_lambda", "uslt": "loss_weight"}),
+    "alpha": ("--alpha", float, {"usl": "reg_alpha", "uslt": "adjust_alpha"}),
+    "momentum": ("--momentum", float, {"usl": "momentum", "uslt": "momentum"}),
+    "iters": ("--iters", int, {"usl": "iterations", "uslt": "optimizer.steps"}),
+    "horizon": ("--horizon", int, {"usl": "horizon"}),
+    "tau": ("--tau", float, {"uslt": "tau"}),
+    "temperature": ("--temperature", float, {"uslt": "temperature"}),
+    "learning_rate": ("--learning-rate", float, {"uslt": "optimizer.learning_rate"}),
+    "batch_size": ("--batch-size", int, {"uslt": "optimizer.batch_size"}),
+    "metric": ("--metric", METRICS, {"uslt": "metric"}),
+}
+
+
+def _add_input_flags(parser) -> None:
+    """The embedding-input flags that `select` and `report` share."""
+    parser.add_argument("--embeddings", required=True)
+    parser.add_argument("--format", choices=["fvecs", "csv"], default=None)
+    parser.add_argument("--threads", type=int, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="labelsel", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     ps = sub.add_parser("select", help="select instances to label")
     ps.add_argument("--method", required=True, choices=["usl", "uslt", "random", "stratified"])
-    ps.add_argument("--embeddings", required=True)
-    ps.add_argument("--format", choices=["fvecs", "csv"], default=None)
+    _add_input_flags(ps)
     ps.add_argument("--budget", type=int, required=True)
     ps.add_argument("--profile", choices=["small", "large"], default="small")
-    ps.add_argument("--k", type=int, default=None, help="kNN size (usl) / neighbor size (uslt)")
-    ps.add_argument("--lambda", dest="lam", type=float, default=None,
-                    help="regularization weight (usl) / local loss weight (uslt)")
-    ps.add_argument("--alpha", type=float, default=None,
-                    help="distance exponent (usl) / logit adjustment intensity (uslt)")
-    ps.add_argument("--momentum", type=float, default=None,
-                    help="regularizer EMA momentum (usl) / running-mean momentum (uslt)")
-    ps.add_argument("--iters", type=int, default=None,
-                    help="regularization rounds (usl) / optimizer steps (uslt)")
-    ps.add_argument("--horizon", type=int, default=None, help="usl only")
-    ps.add_argument("--tau", type=float, default=None, help="uslt confidence threshold")
-    ps.add_argument("--temperature", type=float, default=None, help="uslt sharpening temperature")
-    ps.add_argument("--learning-rate", type=float, default=None, help="uslt optimizer")
-    ps.add_argument("--batch-size", type=int, default=None, help="uslt optimizer")
-    ps.add_argument("--metric", choices=["dot", "neg_sq_euclidean"], default=None, help="uslt only")
+    for dest, (flag, kind, targets) in _TUNING_FLAGS.items():
+        typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        ps.add_argument(flag, dest=dest, default=None, **typed,
+                        help="; ".join(f"{method}: {field}" for method, field in targets.items()))
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--labels", default=None, help="label file (stratified only)")
     ps.add_argument("--out", required=True)
     ps.add_argument("--report", default=None)
-    ps.add_argument("--threads", type=int, default=None)
     ps.set_defaults(func=cmd_select)
 
-    py = sub.add_parser("synth", help="generate a seeded Gaussian-mixture benchmark")
+    # defaults are SyntheticSpec's: only the flags given reach the spec
+    py = sub.add_parser("synth", help="generate a seeded Gaussian-mixture benchmark",
+                        argument_default=argparse.SUPPRESS)
     py.add_argument("--modes", type=int, required=True)
     py.add_argument("--per-mode", type=int, required=True)
-    py.add_argument("--dim", type=int, default=2)
-    py.add_argument("--sigma", type=float, default=0.3)
-    py.add_argument("--layout", choices=["ring", "random_centers"], default="ring")
-    py.add_argument("--radius", type=float, default=5.0)
-    py.add_argument("--seed", type=int, default=0)
+    py.add_argument("--dim", type=int)
+    py.add_argument("--sigma", type=float)
+    py.add_argument("--layout", choices=diagnostics.LAYOUTS)
+    py.add_argument("--radius", type=float)
+    py.add_argument("--seed", type=int)
     py.add_argument("--normalize", action="store_true")
     py.add_argument("--out-embeddings", required=True)
     py.add_argument("--out-labels", required=True)
     py.set_defaults(func=cmd_synth)
 
     pr = sub.add_parser("report", help="score selections against ground-truth labels")
-    pr.add_argument("--embeddings", required=True)
-    pr.add_argument("--format", choices=["fvecs", "csv"], default=None)
+    _add_input_flags(pr)
     pr.add_argument("--labels", required=True)
     pr.add_argument("--selection", action="append", required=True,
-                    metavar="[NAME=]PATH", help="repeat to compare strategies")
+                    metavar="[NAME=]PATH", help="repeat to compare strategies; "
+                    "NAME ends at the first '='")
     pr.add_argument("--k", type=int, default=None, help="kNN size for utilities")
     pr.add_argument("--out", default=None, help="JSON output path")
-    pr.add_argument("--threads", type=int, default=None)
     pr.set_defaults(func=cmd_report)
 
     pv = sub.add_parser("verify", help="run the identity/gradient/collapse suites")
@@ -126,54 +143,25 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# The tuning flags of `select`: argparse dest -> (flag, {method: (target,
-# field)}), the target being what the method builds from the flag. A flag
-# set for a method it has no entry for is a usage error; the report lists
-# the set flags in this order.
-_TUNING_FLAGS = {
-    "k": ("--k", {"usl": (UslParams, "k"), "uslt": (UsltParams, "neighbor_k")}),
-    "lam": ("--lambda", {"usl": (UslParams, "reg_lambda"), "uslt": (UsltParams, "loss_weight")}),
-    "alpha": ("--alpha", {"usl": (UslParams, "reg_alpha"), "uslt": (UsltParams, "adjust_alpha")}),
-    "momentum": ("--momentum", {"usl": (UslParams, "momentum"), "uslt": (UsltParams, "momentum")}),
-    "iters": ("--iters", {"usl": (UslParams, "iterations"), "uslt": (OptimizerConfig, "steps")}),
-    "horizon": ("--horizon", {"usl": (UslParams, "horizon")}),
-    "tau": ("--tau", {"uslt": (UsltParams, "tau")}),
-    "temperature": ("--temperature", {"uslt": (UsltParams, "temperature")}),
-    "learning_rate": ("--learning-rate", {"uslt": (OptimizerConfig, "learning_rate")}),
-    "batch_size": ("--batch-size", {"uslt": (OptimizerConfig, "batch_size")}),
-    "metric": ("--metric", {"uslt": ("metric", "metric")}),
-}
-
-
 def _set_flags(args) -> list[str]:
     return [dest for dest in _TUNING_FLAGS if getattr(args, dest) is not None]
 
 
-def _overrides(args, target) -> dict:
-    """Field values of the set flags that args.method routes to ``target``."""
-    out = {}
-    for dest in _set_flags(args):
-        to, field = _TUNING_FLAGS[dest][1][args.method]
-        if to is target:
-            out[field] = getattr(args, dest)
-    return out
-
-
-def _resolve_usl_params(args) -> UslParams:
-    if args.profile == "large":
-        base = UslParams.large_scale()
-    else:
-        base = UslParams.small_scale(args.budget)
-    return UslParams(**{**asdict(base), "seed": args.seed, **_overrides(args, UslParams)})
-
-
-def _resolve_uslt(args):
-    base = UsltParams.large_scale() if args.profile == "large" else UsltParams.small_scale()
-    params = UsltParams(**{**asdict(base), **_overrides(args, UsltParams)})
-    optimizer = OptimizerConfig(
-        **{**asdict(OptimizerConfig()), "seed": args.seed, **_overrides(args, OptimizerConfig)}
-    )
-    return params, optimizer, args.metric or "dot"
+def _select(args, matrix) -> SelectionResult:
+    """USL or USL-T under args.profile, with the set flags' fields."""
+    given = {_TUNING_FLAGS[dest][2][args.method]: getattr(args, dest) for dest in _set_flags(args)}
+    large = args.profile == "large"
+    if args.method == "usl":
+        base = UslParams.large_scale() if large else UslParams.small_scale(args.budget)
+        params = replace(base, seed=args.seed, **given)
+        _check_knn_k(params.k, matrix.n)
+        return select_usl(matrix, args.budget, params, threads=args.threads)
+    opt = {f[len("optimizer."):]: given.pop(f) for f in list(given) if f.startswith("optimizer.")}
+    metric = {"metric": given.pop("metric")} if "metric" in given else {}
+    params = replace(UsltParams.large_scale() if large else UsltParams.small_scale(), **given)
+    optimizer = replace(OptimizerConfig(), seed=args.seed, **opt)
+    _check_knn_k(params.neighbor_k, matrix.n)
+    return select_uslt(matrix, args.budget, params, optimizer, threads=args.threads, **metric)
 
 
 def _check_knn_k(k: int, n: int) -> None:
@@ -187,7 +175,7 @@ def cmd_select(args) -> int:
     if args.method == "stratified" and not args.labels:
         raise UsageError("--labels is required for the stratified oracle baseline")
     for dest in _set_flags(args):
-        flag, methods = _TUNING_FLAGS[dest]
+        flag, _, methods = _TUNING_FLAGS[dest]
         if args.method not in methods:
             raise UsageError(f"{flag} does not apply to method {args.method!r}")
     matrix = l2_normalize(load_embeddings(args.embeddings, args.format))
@@ -210,23 +198,15 @@ def cmd_select(args) -> int:
         "overrides": [_TUNING_FLAGS[dest][0][2:] for dest in _set_flags(args)],
     }
 
-    if args.method == "usl":
-        params = _resolve_usl_params(args)
-        _check_knn_k(params.k, n)
-        result = select_usl(matrix, args.budget, params, threads=args.threads)
-        selection = SelectionFile(indices=result.indices)
-        report["params"] = _json_clean(asdict(params))
-        report["history"] = [
-            {"iteration": t, "indices": idx.tolist(), "scores": scores.tolist()}
-            for t, (idx, scores) in enumerate(result.history)
-        ]
-        report["trace"] = _json_clean(result.trace)
-    elif args.method == "uslt":
-        params, optimizer, metric = _resolve_uslt(args)
-        _check_knn_k(params.neighbor_k, n)
-        result = select_uslt(matrix, args.budget, params, optimizer, metric, threads=args.threads)
+    if args.method in ("usl", "uslt"):
+        result = _select(args, matrix)
         selection = SelectionFile(indices=result.indices)
         report["params"] = _json_clean(result.params)
+        if result.history:
+            report["history"] = [
+                {"iteration": t, "indices": idx.tolist(), "scores": scores.tolist()}
+                for t, (idx, scores) in enumerate(result.history)
+            ]
         report["trace"] = _json_clean(result.trace)
     elif args.method == "random":
         selection = diagnostics.random_selection(n, args.budget, args.seed)
@@ -249,15 +229,9 @@ def cmd_select(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    given = vars(args)
     spec = diagnostics.SyntheticSpec(
-        modes=args.modes,
-        per_mode=args.per_mode,
-        dim=args.dim,
-        sigma=args.sigma,
-        layout=args.layout,
-        radius=args.radius,
-        seed=args.seed,
-        normalize=args.normalize,
+        **{f.name: given[f.name] for f in fields(diagnostics.SyntheticSpec) if f.name in given}
     )
     matrix, labels = diagnostics.generate_synthetic(spec)
     save_embeddings(matrix, args.out_embeddings)
@@ -281,7 +255,7 @@ def cmd_report(args) -> int:
     util = knn_utility_scores(matrix, k, threads=args.threads)
     named = []
     for item in args.selection:
-        name, _, path = item.rpartition("=")
+        name, _, path = item.partition("=") if "=" in item else ("", "", item)
         path = path or item
         name = name or Path(path).stem
         named.append((name, load_selection(path, n=matrix.n)))

@@ -169,7 +169,10 @@ def resolve_threads(threads: int | None = None) -> int:
     if threads is None:
         env = os.environ.get("LABELSEL_THREADS")
         if env is not None:
-            threads = int(env)
+            try:
+                threads = int(env)
+            except ValueError:
+                raise DataError(f"LABELSEL_THREADS must be an integer, got {env!r}") from None
     if threads is None:
         threads = os.cpu_count() or 1
     return max(1, threads)

@@ -49,6 +49,9 @@ class SelectionReport:
         }
 
 
+LAYOUTS = ("ring", "random_centers")
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Seeded Gaussian mixture; ring layout spreads mode centers evenly on
@@ -68,7 +71,7 @@ class SyntheticSpec:
             raise DataError("modes, per_mode and dim must all be positive")
         if self.sigma <= 0 or self.radius <= 0:
             raise DataError("sigma and radius must be positive")
-        if self.layout not in ("ring", "random_centers"):
+        if self.layout not in LAYOUTS:
             raise DataError(f"unknown layout {self.layout!r}")
         if self.layout == "ring" and self.dim < 2:
             raise DataError("ring layout needs at least 2 dimensions")

@@ -67,13 +67,9 @@ class UslParams:
 
     @classmethod
     def small_scale(cls, budget: int, **overrides) -> "UslParams":
-        base = dict(k=400, momentum=0.9, iterations=10, horizon=None)
-        if budget <= 100:
-            base.update(reg_alpha=0.5, reg_lambda=0.5)
-        else:
-            base.update(reg_alpha=1.0, reg_lambda=1.0)
-        base.update(overrides)
-        return cls(**base)
+        if budget > 100:
+            overrides = {"reg_alpha": 1.0, "reg_lambda": 1.0, **overrides}
+        return cls(**overrides)
 
     @classmethod
     def large_scale(cls, **overrides) -> "UslParams":

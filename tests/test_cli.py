@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from labelsel.cli import main
+from labelsel.cli import _TUNING_FLAGS, main
 
 
 def run(argv):
@@ -274,6 +274,19 @@ class TestReportCommand:
         assert names == ["usl", "random"]
         assert payload["reports"][0]["coverage"] >= payload["reports"][1]["coverage"]
 
+    def test_selection_name_ends_at_first_equals(self, synth_files, tmp_path, monkeypatch):
+        emb, lab = synth_files
+        (tmp_path / "run=2").mkdir()
+        (tmp_path / "run=2" / "usl.txt").write_text("0\n100\n200\n")
+        monkeypatch.chdir(tmp_path)
+        rep = tmp_path / "cmp.json"
+        assert run(
+            ["report", "--embeddings", emb, "--labels", lab,
+             "--selection", "usl=run=2/usl.txt", "--k", 20, "--out", rep]
+        ) == 0
+        [entry] = json.loads(rep.read_text())["reports"]
+        assert entry["name"] == "usl" and entry["coverage"] == 3
+
     def test_mismatched_labels_exit_2(self, synth_files, tmp_path):
         emb, _ = synth_files
         short = tmp_path / "short.txt"
@@ -322,7 +335,92 @@ class TestVerifyCommand:
         assert "[FAIL]" not in out
 
 
+METHODS = ("usl", "uslt", "random", "stratified")
+
+
+class TestTuningFlagTable:
+    """Every entry of the flag table reaches its field; every other
+    method refuses the flag."""
+
+    @staticmethod
+    def value(kind):
+        # differs from every profile's value of every field the flag sets
+        return kind[-1] if isinstance(kind, tuple) else {int: 3, float: 0.75}[kind]
+
+    @pytest.fixture(scope="class")
+    def small_files(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("table")
+        emb, lab = tmp / "x.fvecs", tmp / "y.txt"
+        assert run(
+            ["synth", "--modes", 3, "--per-mode", 20, "--out-embeddings", emb,
+             "--out-labels", lab]
+        ) == 0
+        return emb, lab
+
+    @pytest.mark.parametrize(
+        "dest, method",
+        [(dest, m) for dest, (_, _, targets) in _TUNING_FLAGS.items() for m in targets],
+    )
+    def test_flag_sets_its_field(self, small_files, tmp_path, dest, method):
+        flag, kind, targets = _TUNING_FLAGS[dest]
+        emb, _ = small_files
+        rep = tmp_path / "r.json"
+        value = self.value(kind)
+        # the large profile's k = 20 fits the 60 rows
+        assert run(
+            ["select", "--method", method, "--embeddings", emb, "--budget", 3,
+             "--profile", "large", flag, value, "--out", tmp_path / "s.txt",
+             "--report", rep]
+        ) == 0
+        payload = json.loads(rep.read_text())
+        node = payload["params"]
+        for key in targets[method].split("."):
+            node = node[key]
+        assert node == value
+        assert payload["overrides"] == [flag[2:]]
+
+    @pytest.mark.parametrize(
+        "dest, method",
+        [(dest, m) for dest, (_, _, targets) in _TUNING_FLAGS.items()
+         for m in METHODS if m not in targets],
+    )
+    def test_flag_refused_by_other_methods(self, small_files, tmp_path, capsys, dest, method):
+        flag, kind, _ = _TUNING_FLAGS[dest]
+        emb, lab = small_files
+        capsys.readouterr()
+        assert run(
+            ["select", "--method", method, "--embeddings", emb, "--budget", 3,
+             "--labels", lab, flag, self.value(kind), "--out", tmp_path / "s.txt"]
+        ) == 1
+        assert f"{flag} does not apply to method {method!r}" in capsys.readouterr().err
+        assert not (tmp_path / "s.txt").exists()
+
+    @pytest.mark.parametrize("command", ["select", "synth", "report", "verify"])
+    def test_help_renders(self, capsys, command):
+        # argparse %-formats a help string only when it renders it
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: labelsel {command}")
+        if command == "select":
+            for flag, _, targets in _TUNING_FLAGS.values():
+                for method, field in targets.items():
+                    assert f"{method}: {field}" in out
+
+
 class TestThreads:
+    def test_non_integer_env_is_data_error(self, synth_files, tmp_path, monkeypatch, capsys):
+        emb, _ = synth_files
+        monkeypatch.setenv("LABELSEL_THREADS", "abc")
+        capsys.readouterr()
+        assert run(
+            ["select", "--method", "usl", "--embeddings", emb, "--budget", 10,
+             "--k", 20, "--out", tmp_path / "s.txt"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "LABELSEL_THREADS" in err and "'abc'" in err
+
     def test_threads_flag_does_not_change_output(self, synth_files, tmp_path):
         emb, _ = synth_files
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

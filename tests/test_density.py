@@ -645,6 +645,14 @@ class TestResolveThreads:
         monkeypatch.delenv("LABELSEL_THREADS")
         assert resolve_threads() >= 1
 
+    def test_non_integer_env_is_data_error(self, monkeypatch):
+        from labelsel.density import resolve_threads
+
+        monkeypatch.setenv("LABELSEL_THREADS", "abc")
+        with pytest.raises(DataError, match="LABELSEL_THREADS.*'abc'"):
+            resolve_threads()
+        assert resolve_threads(2) == 2  # an explicit count never reads it
+
 
 class TestNeighborGraphValidation:
     def test_self_index_rejected(self):
