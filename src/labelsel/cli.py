@@ -86,11 +86,22 @@ _TUNING_FLAGS = {
 }
 
 
+def _worker_count(text: str) -> int:
+    """--threads: an integer >= 1, else a usage error naming the flag."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return count
+
+
 def _add_input_flags(parser) -> None:
     """The embedding-input flags that `select` and `report` share."""
     parser.add_argument("--embeddings", required=True)
     parser.add_argument("--format", choices=["fvecs", "csv"], default=None)
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--threads", type=_worker_count, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

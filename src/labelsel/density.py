@@ -13,8 +13,9 @@ by block, and one GEMM per query block gives approximate squared distances
 with the norms folded into the operands. ``argpartition`` keeps kp = min(k +
 CANDIDATE_PAD, n - 1) candidates per row and reads the smallest excluded
 Gram value. The candidates' distances are recomputed exactly and ranked.
-When kp = n - 1 every other point is a candidate, nothing is excluded and
-the ranking is the exhaustive one. Otherwise a rank certificate accepts
+When kp = n - 1 every other point is a candidate, so the candidates are
+listed with no GEMM, nothing is excluded and the ranking is the exhaustive
+one. Otherwise a rank certificate accepts
 the row only when its exact k-th squared distance lies strictly below that
 excluded value minus the float32 case of the package's one proven rounding
 bound (``_gram_slack``, which also certifies k-means' float64 distance
@@ -32,7 +33,10 @@ its minimum at k = 1 is the report's minimum pairwise distance.
 
 Every worker multiplies its query rows by one shared float32 operand,
 (d + 2) x n (``_GramOperands``), built without an n x d copy. The float32
-Gram block is a worker's largest scratch, QUERY_BLOCK * n * 4 bytes;
+Gram block is a worker's largest scratch, QUERY_BLOCK * n * 4 bytes,
+allocated once per walk in the calling thread (a block allocated per query
+block inside a worker stays resident in that thread's malloc arena after
+the walk, under k-means' copies);
 ``argpartition`` works row by row, so it runs over row slices of the block
 whose int64 output stays within _ROW_BLOCK_BYTES (two rows at least). The
 candidates' distances and their ranking take a few QUERY_BLOCK x kp
@@ -53,6 +57,7 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -165,17 +170,21 @@ def _gram_slack(xx, cc_max, g, d, dtype=np.float64):
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else LABELSEL_THREADS, else all cores."""
+    """Worker count: explicit argument, else LABELSEL_THREADS, else all
+    cores. A count below 1 is a DataError, never read as 1."""
     if threads is None:
         env = os.environ.get("LABELSEL_THREADS")
-        if env is not None:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise DataError(f"LABELSEL_THREADS must be an integer, got {env!r}") from None
-    if threads is None:
-        threads = os.cpu_count() or 1
-    return max(1, threads)
+        if env is None:
+            return os.cpu_count() or 1
+        try:
+            threads = int(env)
+        except ValueError:
+            threads = 0
+        if threads < 1:
+            raise DataError(f"LABELSEL_THREADS must be an integer >= 1, got {env!r}")
+    if threads < 1:
+        raise DataError(f"threads must be >= 1, got {threads}")
+    return threads
 
 
 @dataclass(frozen=True)
@@ -361,12 +370,18 @@ def _partition_rows(gram, kp):
     return np.sort(part[:, :kp], axis=1), gram[np.arange(gram.shape[0]), part[:, kp]]
 
 
-def _block_preselect(X, ops, i0, i1, k):
-    """Rows i0:i1 by certified preselection; also returns the number of
-    rows recomputed in full."""
+def _block_preselect(X, ops, i0, i1, k, gram):
+    """Rows i0:i1 by certified preselection, with the GEMM written into the
+    first rows of the worker's float32 Gram block ``gram``; also returns the
+    number of rows recomputed in full."""
     b, n = i1 - i0, X.shape[0]
     kp = min(k + CANDIDATE_PAD, n - 1)
-    gram = ops.query(i0, i1) @ ops.base
+    if kp == n - 1:  # every other point is a candidate: nothing to certify
+        others = np.arange(n - 1)
+        cand = others + (others >= np.arange(i0, i1)[:, None])
+        nbr, nbd = _rank_candidates(_exact_block(X, i0, i1, cand, ops.scale), cand, k)
+        return nbr, nbd, 0
+    gram = np.matmul(ops.query(i0, i1), ops.base, out=gram[:b])
     gram[np.arange(b), np.arange(i0, i1)] = np.inf
     cand = np.empty((b, kp), dtype=np.int64)
     excluded = np.empty(b)
@@ -374,10 +389,7 @@ def _block_preselect(X, ops, i0, i1, k):
     # block's candidates and excluded values with a 2 MiB int64 output
     for s in _row_blocks(b, 8 * n):
         cand[s], excluded[s] = _partition_rows(gram[s], kp)
-    del gram  # free the block x n array before the recompute
     nbr, nbd = _rank_candidates(_exact_block(X, i0, i1, cand, ops.scale), cand, k)
-    if kp == n - 1:  # every other point is a candidate: nothing to certify
-        return nbr, nbd, 0
 
     slack = _gram_slack(ops.sq[i0:i1], ops.sq_max, excluded, X.shape[1], np.float32)
     kth = ops.scale * nbd[:, k - 1]
@@ -395,19 +407,36 @@ def _walk_blocks(X, k, workers, sink):
     distances)``, i0 the block's first row, and return the number of rows
     recomputed in full and every row's nearest-neighbor distance. Blocks
     cover disjoint rows, so a sink may write into shared per-row arrays
-    from any worker."""
+    from any worker.
+
+    Each worker's Gram block is allocated here, once for the whole walk and
+    in the calling thread, and every block it runs reuses it (a block of
+    no rows when every other point is a candidate and no GEMM runs)."""
     n = X.shape[0]
     ops = _GramOperands.of(X)
     nearest = np.empty(n)
+    starts = range(0, n, QUERY_BLOCK)
+    workers = min(workers, len(starts))
+    every_other = min(k + CANDIDATE_PAD, n - 1) == n - 1
+    rows = 0 if every_other else min(QUERY_BLOCK, n)
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put(np.empty((rows, n), dtype=np.float32))
 
     def run(i0):
-        nbr, nbd, fallback = _block_preselect(X, ops, i0, min(i0 + QUERY_BLOCK, n), k)
+        # no more blocks run at once than there are workers, so one is free
+        gram = free.get_nowait()
+        try:
+            nbr, nbd, fallback = _block_preselect(
+                X, ops, i0, min(i0 + QUERY_BLOCK, n), k, gram
+            )
+        finally:
+            free.put(gram)
         nearest[i0 : i0 + nbd.shape[0]] = nbd[:, 0]
         sink(i0, nbr, nbd)
         return fallback
 
-    starts = range(0, n, QUERY_BLOCK)
-    if workers > 1 and n > QUERY_BLOCK:
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return int(sum(pool.map(run, starts))), nearest
     return int(sum(map(run, starts))), nearest

@@ -97,9 +97,11 @@ class _CentredRows:
         return xc, np.einsum("ij,ij->i", xc, xc)
 
 
-def _sq_dist_blocks(rows: _CentredRows, C, nearest=None, floor=2.0):
+def _sq_dist_blocks(rows: _CentredRows, C, nearest=None, floor=2.0, out=None):
     """Squared distances g from every row to every row of ``C`` (the
-    columns), one row block at a time: yields (block, g).
+    columns), one row block at a time: yields (block, g). Given an n x
+    len(C) float64 ``out``, with ``nearest``, each g is computed in place in
+    its rows ``out[block]``, with the same GEMM and passes.
 
     One GEMM per block on the centred rows and columns puts each g within s
     of its difference-based value (``_gram_slack``). Recomputed from
@@ -134,7 +136,10 @@ def _sq_dist_blocks(rows: _CentredRows, C, nearest=None, floor=2.0):
         xc, xx = rows.block(block)
         # without a rule no pass runs along the rows, and the transposed
         # product keeps every pass on long rows when the columns are few
-        g = xc @ Cc.T if nearest else (Cc @ xc.T).T
+        if nearest:
+            g = np.matmul(xc, Cc.T, out=None if out is None else out[block])
+        else:
+            g = (Cc @ xc.T).T
         g += cc
         g += xx[:, None]
         limit = floor_coef * (xx + cc_max)

@@ -154,9 +154,8 @@ def _logits(rows, centroids, metric, out=None) -> np.ndarray:
     if metric == "dot":
         return np.matmul(rows, centroids.T, out=out)
     centred = _CentredRows(rows, centroids.mean(axis=0))
-    for block, g in _sq_dist_blocks(centred, centroids, nearest=1):
-        np.negative(g, out=out[block])
-        del g  # before the next block is built
+    for _, g in _sq_dist_blocks(centred, centroids, nearest=1, out=out):
+        np.negative(g, out=g)
     return out
 
 

@@ -421,6 +421,34 @@ class TestThreads:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "LABELSEL_THREADS" in err and "'abc'" in err
 
+    def test_zero_env_is_data_error(self, synth_files, tmp_path, monkeypatch, capsys):
+        emb, _ = synth_files
+        monkeypatch.setenv("LABELSEL_THREADS", "0")
+        capsys.readouterr()
+        assert run(
+            ["select", "--method", "usl", "--embeddings", emb, "--budget", 10,
+             "--k", 20, "--out", tmp_path / "s.txt"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "LABELSEL_THREADS" in err and "'0'" in err
+
+    @pytest.mark.parametrize("command", ["select", "report"])
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_count_below_one_usage_error(self, synth_files, tmp_path, capsys, command, threads):
+        emb, lab = synth_files
+        sel = tmp_path / "s.txt"
+        sel.write_text("0\n1\n")
+        argv = {
+            "select": ["select", "--method", "usl", "--embeddings", emb, "--budget", 10,
+                       "--out", sel, "--report", tmp_path / "r.json"],
+            "report": ["report", "--embeddings", emb, "--labels", lab, "--selection", sel],
+        }[command]
+        capsys.readouterr()
+        assert run(argv + ["--threads", threads]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--threads" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_threads_flag_does_not_change_output(self, synth_files, tmp_path):
         emb, _ = synth_files
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from labelsel import (
     utility_scores,
 )
 
-
+import labelsel
 from labelsel import density
 
 from helpers import brute_force_graph, sign_lattice, traced_peak
@@ -194,6 +198,35 @@ class TestPreselectPath:
         np.testing.assert_array_equal(g.neighbors, nbr)
         np.testing.assert_array_equal(g.distances, dist)
 
+    @pytest.mark.parametrize("n, k, d", [(30, 20, 3), (200, 190, 8)])
+    def test_every_other_point_needs_no_gram(self, monkeypatch, n, k, d):
+        # k + pad >= n - 1: the candidates of row i are every index but i,
+        # built with no GEMM or partition, and the walk's Gram blocks hold
+        # no rows
+        X = np.random.default_rng(25).standard_normal((n, d))
+        nbr, dist = brute_force_graph(X, k)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a Gram GEMM or partition ran")
+
+        sizes = []
+        preselect = density._block_preselect
+
+        def spy_preselect(X, ops, i0, i1, k, gram):
+            sizes.append(gram.size)
+            return preselect(X, ops, i0, i1, k, gram)
+
+        monkeypatch.setattr(np, "matmul", refused)
+        monkeypatch.setattr(np, "argpartition", refused)
+        monkeypatch.setattr(density, "_block_preselect", spy_preselect)
+        monkeypatch.setattr(density, "QUERY_BLOCK", 64)
+        for threads in (1, 2):
+            g = graph_from(X, k, threads=threads)
+            np.testing.assert_array_equal(g.neighbors, nbr)
+            np.testing.assert_array_equal(g.distances, dist)
+            assert g.fallback_rows == 0
+        assert sizes and set(sizes) == {0}
+
     def test_direct_path_reports_no_fallback(self):
         rng = np.random.default_rng(13)
         assert graph_from(rng.standard_normal((40, 3)), 5).fallback_rows == 0
@@ -292,6 +325,38 @@ class TestBlockAndThreadInvariance:
         X += offset
         k = 1 + int(k_frac * (X.shape[0] - 2))
         self.assert_invariant(X, k)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("n", [20, 150])
+    def test_one_gram_block_per_worker(self, monkeypatch, n, threads):
+        # 16-row query blocks: 2 or 10 blocks, the last one ragged
+        block, k = 16, 2
+        blocks = -(-n // block)
+        assert n % block and k + density.CANDIDATE_PAD < n - 1
+        X = np.random.default_rng(23).standard_normal((n, 4))
+        want = graph_from(X, k, threads=1)
+        made, used = [], []
+        empty, preselect = np.empty, density._block_preselect
+
+        def spy_empty(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            if out.dtype == np.float32 and out.shape == (block, n):
+                made.append(out)
+            return out
+
+        def spy_preselect(X, ops, i0, i1, k, gram):
+            used.append(gram)
+            return preselect(X, ops, i0, i1, k, gram)
+
+        monkeypatch.setattr(density, "QUERY_BLOCK", block)
+        monkeypatch.setattr(np, "empty", spy_empty)
+        monkeypatch.setattr(density, "_block_preselect", spy_preselect)
+        g = graph_from(X, k, threads=threads)
+        assert len(made) == min(threads, blocks)
+        assert len(used) == blocks
+        assert all(any(gram is buf for buf in made) for gram in used)
+        assert g.neighbors.tobytes() == want.neighbors.tobytes()
+        assert g.distances.tobytes() == want.distances.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -539,8 +604,8 @@ class TestKnnUtilityScores:
         X = np.random.default_rng(16).standard_normal((40, 3))
         block = density._block_preselect
 
-        def corrupted(X, ops, i0, i1, k):
-            nbr, nbd, fallback = block(X, ops, i0, i1, k)
+        def corrupted(X, ops, i0, i1, k, gram):
+            nbr, nbd, fallback = block(X, ops, i0, i1, k, gram)
             if i1 == X.shape[0]:
                 if message == "self-index":
                     nbr[:, 0] = np.arange(i0, i1)
@@ -635,6 +700,42 @@ class TestScratchMemory:
         assert traced_peak(density._exact_block, X, 0, 1, everyone) < 8 * n + 4 * tile
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+class TestWorkerPeakRss:
+    """A fresh process's peak RSS: a second kNN worker adds about its own
+    Gram block to ``select_usl``'s peak. A Gram block allocated per query
+    block inside a worker leaves its pages in that thread's malloc arena,
+    and k-means' copies then stack on top of them (16 MB more here).
+
+    The peak is the process's VmHWM, not ``ru_maxrss``: Linux carries the
+    spawning process's peak RSS over ``exec`` into ``ru_maxrss``, so under
+    a large test process both runs would read its peak."""
+
+    SCRIPT = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from labelsel import EmbeddingMatrix, UslParams, l2_normalize, select_usl\n"
+        "X = np.random.default_rng(24).standard_normal((8000, 64))\n"
+        "m = l2_normalize(EmbeddingMatrix(data=X))\n"
+        "select_usl(m, 20, UslParams(k=100), threads=int(sys.argv[1]))\n"
+        "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+    )
+
+    def peak_bytes(self, threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1", PYTHONPATH=str(Path(labelsel.__file__).parents[1]))
+        env.pop("LABELSEL_THREADS", None)
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(threads)],
+            env=env, capture_output=True, text=True, timeout=600, check=True,
+        )
+        return 1024 * int(done.stdout.split()[-1])  # VmHWM is in kB
+
+    def test_second_worker_adds_one_gram_block(self):
+        one, two = self.peak_bytes(1), self.peak_bytes(2)
+        assert two - one <= 4 * density.QUERY_BLOCK * 8000 + (2 << 20)
+
+
 class TestResolveThreads:
     def test_env_override(self, monkeypatch):
         from labelsel.density import resolve_threads
@@ -652,6 +753,21 @@ class TestResolveThreads:
         with pytest.raises(DataError, match="LABELSEL_THREADS.*'abc'"):
             resolve_threads()
         assert resolve_threads(2) == 2  # an explicit count never reads it
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_count_below_one_is_data_error(self, monkeypatch, threads):
+        from labelsel.density import resolve_threads
+
+        with pytest.raises(DataError, match=f"threads must be >= 1, got {threads}"):
+            resolve_threads(threads)
+        monkeypatch.setenv("LABELSEL_THREADS", str(threads))
+        with pytest.raises(DataError, match=f"LABELSEL_THREADS.*'{threads}'"):
+            resolve_threads()
+        m = EmbeddingMatrix(data=np.random.default_rng(22).standard_normal((30, 3)))
+        monkeypatch.delenv("LABELSEL_THREADS")
+        for fn in (build_knn_graph, knn_utility_scores):
+            with pytest.raises(DataError, match="threads must be >= 1"):
+                fn(m, 3, threads=threads)
 
 
 class TestNeighborGraphValidation:

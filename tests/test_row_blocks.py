@@ -209,11 +209,10 @@ class TestPeakMemory:
             fit = uslt.UsltFitResult(state=state, loss_history=(), occupancy_history=())
             monkeypatch.setattr(uslt, "fit_centroids", lambda *args, **kwargs: fit)
             peak = traced_peak(select_uslt, matrix, self.m, metric=metric)
-        # one block of logits and, for neg_sq_euclidean, one of the kernel's
-        # distances that build it; length-n outputs and per-row scratch
+        # one block of logits, for neg_sq_euclidean the kernel's distances
+        # computed in place in it; length-n outputs and per-row scratch
         # stay under half a block
-        blocks = 1.5 if metric == "dot" else 2.5
-        assert peak < blocks * density._ROW_BLOCK_BYTES
+        assert peak < 1.5 * density._ROW_BLOCK_BYTES
 
 
 class TestUsltStep:
