@@ -264,12 +264,12 @@ def cmd_report(args) -> int:
     k = args.k if args.k is not None else min(400, matrix.n - 1)
     _check_knn_k(k, matrix.n)
     util = knn_utility_scores(matrix, k, threads=args.threads)
-    named = []
+    given = []  # (name, path) of each --selection, in order
     for item in args.selection:
         name, _, path = item.partition("=") if "=" in item else ("", "", item)
         path = path or item
-        name = name or Path(path).stem
-        named.append((name, load_selection(path, n=matrix.n)))
+        given.append((name or Path(path).stem, path))
+    named = [(name, load_selection(path, n=matrix.n)) for name, path in given]
     rows = diagnostics.compare(named, labels, matrix, util)
     print(diagnostics.comparison_table(rows))
     if args.out:
@@ -280,8 +280,13 @@ def cmd_report(args) -> int:
                 "command": "report",
                 "config": {
                     "embeddings": str(args.embeddings),
+                    "format": args.format,
                     "labels": str(args.labels),
                     "k": k,
+                    "threads": args.threads,
+                    "selections": [
+                        {"name": name, "path": path} for name, path in given
+                    ],
                 },
                 "reports": [{"name": name, **rep.to_dict()} for name, rep in rows],
             },

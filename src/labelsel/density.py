@@ -45,6 +45,15 @@ CPU, because BLAS packs the whole n-row GEMM operand on every call. 128
 rows keeps the kNN stage within noise of 512-row blocks at n=10,000 and
 within about 15% at n=5,000, at a quarter of the memory.
 
+The walk reads the rows as stored (``EmbeddingMatrix.rows``), float32 (a
+loaded ``.fvecs`` file) or float64, and makes no float64 copy of float32
+rows: the operand's column mean is summed in float64 and its centred rows
+are widened one row block at a time, and the exact recompute gathers
+float32 candidates into a float32 tile and subtracts them into its float64
+tile. Each of these widens exactly before any arithmetic, so float32 rows
+and their float64 widening give byte-identical graphs, utilities and
+fallback counts.
+
 Exact distances are computed in tiles of at most EXACT_TILE_BYTES of
 differences, over rows and candidates, so a row recomputed against every
 point holds one tile, not an n x d slab. Blocks of queries are
@@ -250,7 +259,11 @@ def _exact_block(X, i0, i1, cand, scale=1.0):
     so close pairs keep full relative precision. Tiled on both axes so each
     gathered difference block stays within EXACT_TILE_BYTES, about an L2
     cache, even when a row's candidates are all n points; each entry is
-    the same d-term sum whatever the tiling. Every tile reuses one buffer.
+    the same d-term sum whatever the tiling. Every tile reuses one buffer:
+    float64 rows are gathered into it and the query rows subtracted in
+    place; float32 rows are gathered into a float32 buffer of as many
+    entries (both buffers together within EXACT_TILE_BYTES) and subtracted
+    from it into the float64 one, widened exactly.
 
     Outside [2^-64, 2^64], ``_GramOperands``' power of two ``scale``
     multiplies the differences before squaring and divides the distances
@@ -266,18 +279,22 @@ def _exact_block(X, i0, i1, cand, scale=1.0):
     d = X.shape[1]
     rescale = not 2.0**-64 <= scale <= 2.0**64
     out = np.empty((b, c))
-    cols = max(1, min(c, EXACT_TILE_BYTES // (d * 8)))
-    rows = max(1, EXACT_TILE_BYTES // (cols * d * 8))
+    wide = X.dtype == np.float64
+    entry = d * (8 if wide else 8 + X.itemsize)  # bytes of one tile entry
+    cols = max(1, min(c, EXACT_TILE_BYTES // entry))
+    rows = max(1, EXACT_TILE_BYTES // (cols * entry))
     buf = np.empty(min(rows, b) * cols * d)
+    gather = buf if wide else np.empty(buf.size, dtype=X.dtype)
     for t0 in range(0, b, rows):
         t1 = min(t0 + rows, b)
         for c0 in range(0, c, cols):
             c1 = min(c0 + cols, c)
-            diff = buf[: (t1 - t0) * (c1 - c0) * d].reshape(t1 - t0, c1 - c0, d)
+            shape, size = (t1 - t0, c1 - c0, d), (t1 - t0) * (c1 - c0) * d
+            diff, picked = buf[:size].reshape(shape), gather[:size].reshape(shape)
             # candidates are in range, so "clip" only skips the buffered
             # bounds check of the default mode
-            np.take(X, cand[t0:t1, c0:c1], axis=0, out=diff, mode="clip")
-            diff -= X[i0 + t0 : i0 + t1, None, :]
+            np.take(X, cand[t0:t1, c0:c1], axis=0, out=picked, mode="clip")
+            np.subtract(picked, X[i0 + t0 : i0 + t1, None, :], out=diff, dtype=np.float64)
             if rescale:
                 diff *= scale
             np.square(diff, out=diff)
@@ -330,7 +347,7 @@ class _GramOperands:
     @classmethod
     def of(cls, X):
         n, d = X.shape
-        mean = X.mean(axis=0)
+        mean = X.mean(axis=0, dtype=np.float64)
         # rounding is monotone, so the extreme centred values are those of
         # each column's extreme rows: no centred n x d copy is needed
         peak = max(float((X.max(axis=0) - mean).max()), float((mean - X.min(axis=0)).max()))
@@ -451,7 +468,7 @@ def _stream_rows(m, k, threads, sink, jitter=False, seed=0) -> int:
     """Pass every query block of ``m``'s exact k-NN rows to ``sink``, with
     build_knn_graph's duplicate check and jitter retry; returns the number
     of rows recomputed in full."""
-    X = m.data
+    X = m.rows
     for attempt in range(2):
         fallback, nearest = _walk_blocks(X, k, resolve_threads(threads), sink)
         dup = np.flatnonzero(nearest == 0.0)
@@ -461,8 +478,8 @@ def _stream_rows(m, k, threads, sink, jitter=False, seed=0) -> int:
             raise DuplicatePointsError(dup.tolist())
         rng = np.random.default_rng(seed)
         # noise + data has the bits of data + noise, in one n x d array
-        X = rng.uniform(-JITTER_SCALE, JITTER_SCALE, size=m.data.shape)
-        X += m.data
+        X = rng.uniform(-JITTER_SCALE, JITTER_SCALE, size=m.rows.shape)
+        X += m.rows
     raise AssertionError("unreachable")
 
 

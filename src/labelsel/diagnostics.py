@@ -127,7 +127,8 @@ def _min_pairwise_distance(P: np.ndarray) -> float:
     The smallest nearest-neighbor distance of the kNN walk at k = 1
     (``density._walk_blocks``): exact, and as sqrt is monotone, bit-identical
     to the minimum of one full m x m x d difference pass wherever no square
-    under- or overflows. Coincident rows read 0.0.
+    under- or overflows. Float32 rows (a loaded ``.fvecs`` matrix) are read
+    as stored and widened exactly by the walk. Coincident rows read 0.0.
     """
     return float(_walk_blocks(P, 1, 1, lambda *block: None)[1].min())
 
@@ -162,7 +163,7 @@ def compare(
         selection.validate_against(n)
         idx = np.sort(selection.indices)  # canonical order: order-invariant output
         counts = np.bincount(labels.labels[idx], minlength=labels.num_classes)
-        mpd = _min_pairwise_distance(matrix.data[idx]) if idx.size >= 2 else math.inf
+        mpd = _min_pairwise_distance(matrix.rows[idx]) if idx.size >= 2 else math.inf
         rep = SelectionReport(
             coverage=int((counts > 0).sum()),
             per_class_counts=counts,

@@ -9,7 +9,14 @@ On-disk formats:
 * label file: UTF-8 text, one non-negative integer class id per line,
   line i = instance i.
 
-All in-memory arithmetic is float64 regardless of on-disk storage, and every
+An embedding matrix built from float32 rows keeps them as float32
+(``EmbeddingMatrix.rows``), so a loaded ``.fvecs`` file holds its payload,
+n * d * 4 bytes, and no float64 copy of it; any other input, and every
+normalized matrix, is held as float64. All arithmetic is float64 regardless
+of storage: ``EmbeddingMatrix.data`` is always the float64 rows, and the kNN
+walk, the report's minimum distance, ``l2_normalize`` and the savers read
+float32 ``rows`` and widen them exactly, a block or tile at a time, so a
+float32 matrix and its float64 widening give byte-identical results. Every
 loaded object is immutable (array buffers are marked read-only) so instances
 can be shared freely across threads.
 """
@@ -35,43 +42,59 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EmbeddingMatrix:
     """n x d matrix of instance features, one row per instance.
+
+    ``rows`` holds the rows as given when they are float32 and not
+    normalized (every ``.fvecs`` load), else as float64. ``data`` is them
+    as float64: ``rows`` itself when float64, and a fresh read-only
+    widening of float32 rows on each access, so code that reads float32
+    rows repeatedly reads ``rows`` and widens what it uses.
 
     ``normalized`` asserts that every row has unit Euclidean norm (within
     UNIT_NORM_TOL); it is set by :func:`l2_normalize`, never guessed.
     """
 
-    data: np.ndarray
+    rows: np.ndarray
     normalized: bool = False
 
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 2:
-            raise DataError(f"embedding matrix must be 2-D, got shape {data.shape}")
-        if data.shape[0] < 1 or data.shape[1] < 1:
-            raise DataError(f"embedding matrix must be at least 1x1, got {data.shape}")
-        if not np.isfinite(data).all():
-            bad = np.argwhere(~np.isfinite(data))[0]
+    def __init__(self, data, normalized: bool = False):
+        rows = np.asarray(data)
+        if rows.dtype != np.float32 or normalized:
+            rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2:
+            raise DataError(f"embedding matrix must be 2-D, got shape {rows.shape}")
+        if rows.shape[0] < 1 or rows.shape[1] < 1:
+            raise DataError(f"embedding matrix must be at least 1x1, got {rows.shape}")
+        if not np.isfinite(rows).all():
+            bad = np.argwhere(~np.isfinite(rows))[0]
             raise DataError(f"non-finite value at row {bad[0]}, column {bad[1]}")
-        if self.normalized:
-            norms = np.linalg.norm(data, axis=1)
+        if normalized:
+            norms = np.linalg.norm(rows, axis=1)
             off = np.abs(norms - 1.0)
             if off.max() > UNIT_NORM_TOL:
                 i = int(off.argmax())
                 raise DataError(
                     f"normalized=True but row {i} has norm {norms[i]!r}"
                 )
-        object.__setattr__(self, "data", _frozen(data))
+        object.__setattr__(self, "rows", _frozen(rows))
+        object.__setattr__(self, "normalized", normalized)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The rows as float64, read-only."""
+        if self.rows.dtype == np.float64:
+            return self.rows
+        return _frozen(self.rows.astype(np.float64))
 
     @property
     def n(self) -> int:
-        return self.data.shape[0]
+        return self.rows.shape[0]
 
     @property
     def d(self) -> int:
-        return self.data.shape[1]
+        return self.rows.shape[1]
 
 
 @dataclass(frozen=True)
@@ -179,7 +202,7 @@ def _load_fvecs(path: Path) -> EmbeddingMatrix:
                 raise FormatError(f"{path}: truncated record at byte offset {offset}")
             offset += 4 * (d_i + 1)
         raise FormatError(f"{path}: truncated record at byte offset {offset}")
-    data = table[:, 1:].view("<f4").astype(np.float64)
+    data = table[:, 1:].view("<f4").astype(np.float32)
     if not np.isfinite(data).all():
         r, c = np.argwhere(~np.isfinite(data))[0]
         raise FormatError(
@@ -251,13 +274,13 @@ def save_embeddings(m: EmbeddingMatrix, path, format: str | None = None) -> None
     path = Path(path)
     fmt = format or path.suffix.lstrip(".").lower()
     if fmt == "fvecs":
-        data32 = m.data.astype(np.float32)
+        data32 = np.asarray(m.rows, dtype=np.float32)
         table = np.empty((m.n, m.d + 1), dtype="<i4")
         table[:, 0] = m.d
         table[:, 1:] = data32.view("<i4")
         table.tofile(path)
     elif fmt == "csv":
-        _write_lines(path, (",".join(repr(float(v)) for v in row) for row in m.data))
+        _write_lines(path, (",".join(repr(float(v)) for v in row) for row in m.rows))
     else:
         raise DataError(f"unknown embedding format {fmt!r} for {path}")
 
@@ -266,15 +289,27 @@ def l2_normalize(m: EmbeddingMatrix) -> EmbeddingMatrix:
     """Scale every row to unit Euclidean norm.
 
     Idempotent: an already-normalized matrix is returned unchanged, so
-    normalizing twice is bit-identical to normalizing once.
+    normalizing twice is bit-identical to normalizing once. The float64
+    output is written one row block at a time: each block is widened, its
+    norms taken and divided out, so besides the input and the output only
+    one block's temporaries are held. Every row's norm is the same d-term
+    sum whatever the block.
     """
     if m.normalized:
         return m
-    norms = np.linalg.norm(m.data, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DataError(f"zero-norm row at index {int(zero[0])}; cannot normalize")
-    return EmbeddingMatrix(data=m.data / norms[:, None], normalized=True)
+    from .density import _row_blocks  # density imports this module
+
+    out = np.empty((m.n, m.d))
+    for rows in _row_blocks(m.n, 8 * m.d):
+        block = np.asarray(m.rows[rows], dtype=np.float64)
+        norms = np.linalg.norm(block, axis=1)
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            raise DataError(
+                f"zero-norm row at index {rows.start + int(zero[0])}; cannot normalize"
+            )
+        np.divide(block, norms[:, None], out=out[rows])
+    return EmbeddingMatrix(data=out, normalized=True)
 
 
 def save_selection(s: SelectionFile, path) -> None:

@@ -287,6 +287,34 @@ class TestReportCommand:
         [entry] = json.loads(rep.read_text())["reports"]
         assert entry["name"] == "usl" and entry["coverage"] == 3
 
+    def test_rerun_from_its_json_reproduces(self, synth_files, tmp_path):
+        # a .vec copy loads only with --format fvecs; one selection is named
+        # from its file's stem, and both must come back in order
+        emb, lab = synth_files
+        vec = tmp_path / "x.vec"
+        vec.write_bytes(emb.read_bytes())
+        s1, s2 = tmp_path / "usl.txt", tmp_path / "b.txt"
+        for method, out in (("usl", s1), ("random", s2)):
+            assert run(["select", "--method", method, "--embeddings", emb, "--budget", 10,
+                        "--seed", 0, "--out", out]) == 0
+        first, second = tmp_path / "r1.json", tmp_path / "r2.json"
+        assert run(
+            ["report", "--embeddings", vec, "--format", "fvecs", "--labels", lab,
+             "--selection", s1, "--selection", f"rand={s2}", "--k", 20, "--threads", 2,
+             "--out", first]
+        ) == 0
+        cfg = json.loads(first.read_text())["config"]
+        argv = ["report", "--embeddings", cfg["embeddings"], "--labels", cfg["labels"],
+                "--k", cfg["k"], "--out", second]
+        for flag in ("format", "threads"):
+            if cfg[flag] is not None:
+                argv += [f"--{flag}", cfg[flag]]
+        for sel in cfg["selections"]:
+            argv += ["--selection", f"{sel['name']}={sel['path']}"]
+        assert run(argv) == 0
+        assert second.read_bytes() == first.read_bytes()
+        assert [sel["name"] for sel in cfg["selections"]] == ["usl", "rand"]
+
     def test_mismatched_labels_exit_2(self, synth_files, tmp_path):
         emb, _ = synth_files
         short = tmp_path / "short.txt"

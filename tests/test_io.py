@@ -50,6 +50,7 @@ class TestLoadEmbeddings:
         save_embeddings(m, p)
         raw1 = p.read_bytes()
         loaded = load_embeddings(p)
+        assert loaded.rows.dtype == np.float32
         assert loaded.data.tobytes() == data.tobytes()
         save_embeddings(loaded, tmp_path / "rt2.fvecs")
         assert (tmp_path / "rt2.fvecs").read_bytes() == raw1
@@ -164,7 +165,9 @@ class TestLoadEmbeddings:
         data = rng.standard_normal((n, d)).astype(np.float32).astype(np.float64)
         p = tmp_path_factory.mktemp("rt") / "m.fvecs"
         save_embeddings(EmbeddingMatrix(data=data), p)
-        assert load_embeddings(p).data.tobytes() == data.tobytes()
+        loaded = load_embeddings(p)
+        assert loaded.rows.dtype == np.float32
+        assert loaded.data.tobytes() == data.tobytes()
 
 
 class TestEmbeddingMatrix:
