@@ -9,9 +9,10 @@ iterations.
 
 Every float64 distance from the rows to a few columns (centroids, seeding
 trials, ``usl`` selections) comes from one kernel, ``_sq_dist_blocks``: one
-centred Gram GEMM per row block (a fit centres its rows once,
-``_CentredRows``), with the entries the package's one proven rounding
-bound (``density._gram_slack``) cannot certify recomputed from coordinate
+centred Gram GEMM per row block (``_CentredRows``: k-means++ centres the
+rows once for its C passes, Lloyd centres each block as it is used), with
+the entries the package's one proven rounding bound
+(``density._gram_slack``) cannot certify recomputed from coordinate
 differences. Assignments are therefore those of a full difference pass,
 ties to the lower id included, and a point on its centroid reads distance 0.
 """
@@ -74,10 +75,11 @@ def _as_data(m) -> np.ndarray:
 @dataclass(frozen=True)
 class _CentredRows:
     """Rows ``X``, their mean ``mu`` and, unless built with ``store=False``,
-    the centred copy ``Xc = X - mu`` and its squared row norms ``xx``, kept
-    for every pass of a fit. Centring keeps an offset from cancelling digits
-    in a Gram expansion; without a stored copy each block is centred as it
-    is used, and no n x d copy is held."""
+    the centred copy ``Xc = X - mu`` and its squared row norms ``xx``.
+    Centring keeps an offset from cancelling digits in a Gram expansion.
+    Without ``Xc``, each block is centred as it is used, bit for bit that
+    block of ``Xc``, and no n x d copy is held; a fit drops ``Xc`` after
+    k-means++ and keeps ``xx``, which the blocks then read."""
 
     X: np.ndarray
     mu: np.ndarray
@@ -94,7 +96,7 @@ class _CentredRows:
         if self.Xc is not None:
             return self.Xc[rows], self.xx[rows]
         xc = self.X[rows] - self.mu
-        return xc, np.einsum("ij,ij->i", xc, xc)
+        return xc, np.einsum("ij,ij->i", xc, xc) if self.xx is None else self.xx[rows]
 
 
 def _sq_dist_blocks(rows: _CentredRows, C, nearest=None, floor=2.0, out=None):
@@ -320,6 +322,9 @@ def kmeans_fit(m, clusters: int, init: str = "kmeanspp", seed: int = 0) -> Clust
     else:
         raise DataError(f"unknown init {init!r}")
 
+    # k-means++ reuses the centred copy over its C passes; Lloyd centres
+    # each row block as it goes, so Xc is gone before XT is built
+    rows = _CentredRows(X, rows.mu, xx=rows.xx)
     XT = np.ascontiguousarray(X.T)
     assignment, best = _assign_with_dist(rows, centroids)
     prev = float(best.sum())

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .density import _row_blocks, build_knn_graph
+from .density import _check_k, _check_rows, _row_blocks, _stream_rows
 from .errors import DataError, EmptyClusterError, NumericalError
 from .io import EmbeddingMatrix, _frozen
 from .kmeans import _CentredRows, _sq_dist_blocks
@@ -579,6 +579,21 @@ def _hard_counts(X, centroids, metric):
     return counts
 
 
+def _neighbor_ids(matrix, k, threads):
+    """The ids of every row's k nearest neighbors as ``build_knn_graph``
+    ranks them, in an n x k int32 table (int64 from 2^31 rows), and the
+    number of rows the walk recomputed in full. Each block gets the graph's
+    row checks; no distance is kept."""
+    _check_k(matrix.n, k)
+    ids = np.empty((matrix.n, k), dtype=np.int32 if matrix.n <= 2**31 else np.int64)
+
+    def keep(i0, nbr, nbd):
+        _check_rows(nbr, nbd, i0)
+        ids[i0 : i0 + nbr.shape[0]] = nbr
+
+    return ids, _stream_rows(matrix, k, threads, keep)
+
+
 def fit_centroids(
     matrix: EmbeddingMatrix,
     num_clusters: int,
@@ -591,8 +606,8 @@ def fit_centroids(
     """Minibatch descent on the total loss over frozen features.
 
     Centroids start as randomly chosen feature rows. Neighbor candidates
-    come from an exact kNN graph built once up front. Clusters that go
-    empty are periodically re-seeded to a perturbed copy of the head
+    come from the ids of an exact kNN walk run once up front. Clusters that
+    go empty are periodically re-seeded to a perturbed copy of the head
     (largest) cluster's centroid. Divergence (non-finite loss) aborts.
 
     Each step is the loop of ``total_loss``, ``ema_update`` and a fresh
@@ -611,7 +626,7 @@ def fit_centroids(
     if optimizer.steps == 0:
         return UsltFitResult(state=state, loss_history=(), occupancy_history=())
 
-    graph = build_knn_graph(matrix, params.neighbor_k, threads=threads)
+    neighbors, knn_fallback_rows = _neighbor_ids(matrix, params.neighbor_k, threads)
     centroids = state.centroids.copy()
     running_mean = state.running_mean.copy()
     del state  # the loop updates the plain arrays; the start is not kept
@@ -625,7 +640,7 @@ def fit_centroids(
     with np.errstate(all="ignore"):  # divergence is caught right after the loss
         for step in range(1, optimizer.steps + 1):
             idx = rng.choice(n, size=batch, replace=False)
-            nbr = graph.neighbors[idx, rng.integers(0, graph.k, size=batch)]
+            nbr = neighbors[idx, rng.integers(0, params.neighbor_k, size=batch)]
             # the neighbor logits under the pre-step centroids feed both the
             # local targets and the EMA batch mean
             targets = step_loss.neighbor_targets(X[nbr], centroids, running_mean, params, metric)
@@ -666,7 +681,7 @@ def fit_centroids(
         state=UsltState(centroids=centroids, running_mean=running_mean, step=optimizer.steps),
         loss_history=tuple(losses),
         occupancy_history=tuple(occupancy),
-        knn_fallback_rows=graph.fallback_rows,
+        knn_fallback_rows=knn_fallback_rows,
         reseeds=reseeds,
     )
 

@@ -37,6 +37,7 @@ from helpers import (
     reference_fit,
     reference_uslt_picks,
     sign_lattice,
+    traced_peak,
 )
 
 
@@ -612,6 +613,22 @@ class TestFitAndSelect:
         assert preselect.trace["knn_fallback_rows"] == fallback
         np.testing.assert_array_equal(preselect.indices, direct.indices)
         assert preselect.trace["loss_history"] == direct.trace["loss_history"]
+
+    def test_neighbor_ids_are_the_graphs_as_int32(self):
+        m = l2_normalize(EmbeddingMatrix(data=sign_lattice()))
+        ids, fallback = uslt._neighbor_ids(m, 10, 1)
+        graph = build_knn_graph(m, 10)
+        assert ids.dtype == np.int32
+        np.testing.assert_array_equal(ids, graph.neighbors)
+        assert fallback == graph.fallback_rows > 0
+
+    def test_fit_keeps_no_neighbor_distances(self):
+        # the int32 ids (8 MB) beside the walk's 128 x n Gram block (10 MB);
+        # the graph's int64 ids and float64 distances alone are 32 MB
+        n, k = 20_000, 100
+        m = l2_normalize(EmbeddingMatrix(data=np.random.default_rng(6).standard_normal((n, 8))))
+        params, optimizer = UsltParams(neighbor_k=k), OptimizerConfig(steps=2)
+        assert traced_peak(fit_centroids, m, 4, params, optimizer, threads=1) < n * k * 16
 
 
 def small_mixture(modes, per_mode, dim, seed):
