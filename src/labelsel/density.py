@@ -47,13 +47,18 @@ rows keeps the kNN stage within noise of 512-row blocks at n=10,000 and
 within about 15% at n=5,000, at a quarter of the memory.
 
 The walk reads the rows as stored (``EmbeddingMatrix.rows``), float32 (a
-loaded ``.fvecs`` file) or float64, and makes no float64 copy of float32
-rows: the operand's column mean is summed in float64 and its centred rows
-are widened one row block at a time, and the exact recompute gathers
-float32 candidates into a float32 tile and subtracts them into its float64
-tile. Each of these widens exactly before any arithmetic, so float32 rows
-and their float64 widening give byte-identical graphs, utilities and
-fallback counts.
+loaded ``.fvecs`` file) or float64, through ``io._Rows``, which divides
+the rows of a normalized matrix by their norms as it reads them, and makes
+no float64 copy of the rows: the operand's column mean is accumulated in
+float64 one row block at a time in row order, its column extremes are
+taken per block and its centred rows are built one row block at a time.
+The exact recompute gathers stored candidates into a tile and subtracts
+them into its float64 tile; for a normalized matrix it divides each row
+it reads once per query block and gathers the divided values.
+Each of these widens exactly and divides as a whole-matrix division would
+before any other arithmetic, so float32 rows, their float64 widening and
+an eagerly normalized float64 copy give byte-identical graphs, utilities
+and fallback counts.
 
 Exact distances are computed in tiles of at most EXACT_TILE_BYTES of
 differences, over rows and candidates, so a row recomputed against every
@@ -74,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DuplicatePointsError
-from .io import EmbeddingMatrix, _frozen
+from .io import EmbeddingMatrix, _frozen, _Rows, _rows_of
 
 CANDIDATE_PAD = 16
 QUERY_BLOCK = 128
@@ -253,21 +258,13 @@ class UtilityScores:
             object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name))))
 
 
-def _exact_block(X, i0, i1, cand, scale=1.0):
+def _exact_block(X, i0, i1, cand, scale=1.0, scratch=None):
     """Float64 distances from rows i0:i1 to per-row candidate indices.
 
     Computed from coordinate differences (never from expanded dot products)
-    so close pairs keep full relative precision. Tiled on both axes so each
-    gathered difference block stays within EXACT_TILE_BYTES, even when a
-    row's candidates are all n points; each entry is the same d-term sum
-    whatever the tiling. Per 128-row block on one thread of a 2-core Xeon
-    VM, 512 KiB tiles took 14.1 ms at d = 128, 416 candidates (15.4 ms at
-    1 MiB, 17.0 ms at 2 MiB) and 0.58 ms at d = 64, 36 candidates (0.62,
-    0.70 ms); at d = 2 the size made no difference. Every tile reuses one
-    buffer: float64 rows are gathered into it and the query rows
-    subtracted in place; float32 rows are gathered into a float32 buffer
-    of as many entries (both buffers together within EXACT_TILE_BYTES) and
-    subtracted from it into the float64 one, widened exactly.
+    so close pairs keep full relative precision, in tiles of differences
+    within EXACT_TILE_BYTES, even when a row's candidates are all n points;
+    each entry is the same d-term sum whatever the tiling.
 
     Outside [2^-64, 2^64], ``_GramOperands``' power of two ``scale``
     multiplies the differences before squaring and divides the distances
@@ -278,10 +275,36 @@ def _exact_block(X, i0, i1, cand, scale=1.0):
     is in [2^-65, 2^64), so no sum of squares overflows, and a square
     underflows only where coordinates differ by less than 2^-511, under
     2^-446 of it.
+
+    ``scratch``, a float64 array of no further use to the caller, may hold
+    the tiles of a normalized matrix (see ``_divided_squares``).
     """
-    b, c = i1 - i0, cand.shape[1]
-    d = X.shape[1]
+    rows = _rows_of(X)
     rescale = not 2.0**-64 <= scale <= 2.0**64
+    if rows.norms is None:
+        X = rows.stored
+        out = _tile_squares(X, X[i0:i1], cand, scale if rescale else None)
+    else:
+        out = _divided_squares(rows, i0, i1, cand, scale if rescale else None, scratch)
+    np.sqrt(out, out=out)
+    if rescale:
+        out /= scale
+    return out
+
+
+def _tile_squares(X, query, cand, scale):
+    """``_exact_block``'s squared distances (times ``scale``^2 unless it is
+    None) from rows ``query`` to rows ``cand`` of ``X``, both read as
+    stored, tiled on both axes. Per 128-row block on one thread of a 2-core
+    Xeon VM, 512 KiB tiles took 14.1 ms at d = 128, 416 candidates (15.4 ms
+    at 1 MiB, 17.0 ms at 2 MiB) and 0.58 ms at d = 64, 36 candidates (0.62,
+    0.70 ms); at d = 2 the size made no difference. Every tile reuses one
+    buffer: float64 rows are gathered into it and the query rows
+    subtracted in place; float32 rows are gathered into a float32 buffer
+    of as many entries (both buffers together within EXACT_TILE_BYTES) and
+    subtracted from it into the float64 one, widened exactly."""
+    b, c = cand.shape
+    d = X.shape[1]
     out = np.empty((b, c))
     wide = X.dtype == np.float64
     entry = d * (8 if wide else 8 + X.itemsize)  # bytes of one tile entry
@@ -298,14 +321,80 @@ def _exact_block(X, i0, i1, cand, scale=1.0):
             # candidates are in range, so "clip" only skips the buffered
             # bounds check of the default mode
             np.take(X, cand[t0:t1, c0:c1], axis=0, out=picked, mode="clip")
-            np.subtract(picked, X[i0 + t0 : i0 + t1, None, :], out=diff, dtype=np.float64)
-            if rescale:
+            np.subtract(picked, query[t0:t1, None, :], out=diff, dtype=np.float64)
+            if scale is not None:
                 diff *= scale
             np.square(diff, out=diff)
             np.sum(diff, axis=2, out=out[t0:t1, c0:c1])
-    np.sqrt(out, out=out)
-    if rescale:
-        out /= scale
+    return out
+
+
+def _divided_squares(rows, i0, i1, cand, scale, scratch=None):
+    """``_tile_squares`` for rows divided by their norms as they are read.
+
+    When every row's values fit in ``scratch`` (the walk passes its
+    worker's Gram block, dead once the candidates are partitioned: d <= 64)
+    or in EXACT_TILE_BYTES, all rows are divided there and the pairs tiled
+    from them as from stored rows. Otherwise the block's distinct
+    candidates are divided once each, in ascending chunks, and each chunk's
+    pairs gather their candidate and query rows from it, with the chunk and
+    the pairs' two buffers of EXACT_TILE_BYTES each taken from ``scratch``
+    when it has room. At n = 10,000, d = 128 a 128-row block reads each
+    row about five times; on one thread of a 2-core Xeon VM such a block at
+    416 candidates took about 15 ms, against 25 ms with a divide per
+    gathered entry and 13 ms gathering from a stored float64 copy. Smaller
+    buffers cost CPU on two workers, which contend for the GIL between
+    numpy calls: a third of that size made three times the calls and 25%
+    more CPU for the walk; and allocated per block, the buffers made a
+    second worker add more to ``select_usl``'s peak than its Gram block plus
+    2 MiB. Each pair's differences are summed as one row, which numpy sums
+    as it does the rows of a tile."""
+    n, d = rows.shape
+    b, c = cand.shape
+    query = rows.values(slice(i0, i1))
+    size = n * d
+    fits = scratch is not None and scratch.size >= size
+    if fits or 8 * size <= EXACT_TILE_BYTES:
+        values = (scratch[:size] if fits else np.empty(size)).reshape(n, d)
+        return _tile_squares(rows.values(slice(None), out=values), query, cand, scale)
+    # the distinct candidates, ascending, and each pair's place among them
+    mark = np.zeros(n, dtype=bool)
+    mark[cand] = True
+    ids = np.flatnonzero(mark)
+    place = np.cumsum(mark, dtype=np.int32 if n < 2**31 else np.int64)
+    pos = place[cand].ravel()
+    pos -= 1
+    del mark, place
+    per = max(1, EXACT_TILE_BYTES // (8 * d))  # rows of each buffer
+    room = scratch is not None and scratch.size >= 3 * per * d
+    buffers = scratch[: 3 * per * d] if room else np.empty(3 * per * d)
+    groups = -(-ids.size // per)
+    group = pos // per
+    # the pairs by chunk, in row order within each (a radix sort below 2^16)
+    order = np.argsort(group.astype(np.min_scalar_type(groups - 1)), kind="stable")
+    ends = np.cumsum(np.bincount(group, minlength=groups)).tolist()
+    local = pos[order] % per  # each pair's row in its chunk
+    del group, pos
+    query_of = order // c
+    values, diffs, queries = buffers.reshape(3, per, d)
+    squares = np.empty(b * c)
+    start = 0
+    for g, end in enumerate(ends):
+        chunk = ids[g * per : (g + 1) * per]
+        v = rows.values(chunk, out=values[: chunk.size])
+        for s in range(start, end, per):
+            e = min(s + per, end)
+            diff, q = diffs[: e - s], queries[: e - s]
+            np.take(v, local[s:e], axis=0, out=diff, mode="clip")
+            np.take(query, query_of[s:e], axis=0, out=q, mode="clip")
+            np.subtract(diff, q, out=diff)
+            if scale is not None:
+                diff *= scale
+            np.square(diff, out=diff)
+            np.sum(diff, axis=1, out=squares[s:e])
+        start = end
+    out = np.empty((b, c))
+    out.reshape(-1)[order] = squares
     return out
 
 
@@ -350,11 +439,19 @@ class _GramOperands:
 
     @classmethod
     def of(cls, X):
-        n, d = X.shape
-        mean = X.mean(axis=0, dtype=np.float64)
+        rows = _rows_of(X)
+        n, d = rows.shape
+        blocks = _row_blocks(n, 8 * d)
+        mean = rows.mean()
         # rounding is monotone, so the extreme centred values are those of
         # each column's extreme rows: no centred n x d copy is needed
-        peak = max(float((X.max(axis=0) - mean).max()), float((mean - X.min(axis=0)).max()))
+        high, low = np.full(d, -np.inf), np.full(d, np.inf)
+        for block in blocks:
+            values = rows.values(block)
+            np.maximum(high, values.max(axis=0), out=high)
+            np.minimum(low, values.min(axis=0), out=low)
+            del values  # before the next block's values
+        peak = max(float((high - mean).max()), float((mean - low).max()))
         if 0.0 < peak < np.finfo(np.float64).tiny:
             raise DataError("rows differ only by subnormal amounts; rescale them")
         scale = math.ldexp(1.0, -math.frexp(peak)[1]) if peak > 0 else 1.0
@@ -362,12 +459,12 @@ class _GramOperands:
         sq = np.empty(n)
         # the float32 rows one block at a time: einsum sums each row on its
         # own, so the norms are those of a whole float32 copy, never held
-        for rows in _row_blocks(n, 8 * d):
-            c = X[rows] - mean
+        for block in blocks:
+            c = rows.values(block) - mean
             c *= scale
             a = c.astype(np.float32)
-            sq[rows] = np.einsum("ij,ij->i", a, a, dtype=np.float64)
-            np.multiply(a.T, -2.0, out=base[:d, rows])
+            sq[block] = np.einsum("ij,ij->i", a, a, dtype=np.float64)
+            np.multiply(a.T, -2.0, out=base[:d, block])
             del c, a  # before the next block's rows
         base[d] = sq
         base[d + 1] = 1.0
@@ -391,18 +488,21 @@ def _partition_rows(gram, kp):
     return np.sort(part[:, :kp], axis=1), gram[np.arange(gram.shape[0]), part[:, kp]]
 
 
-def _block_preselect(X, ops, i0, i1, k, gram):
+def _block_preselect(X, ops, i0, i1, k, block):
     """Rows i0:i1 by certified preselection, with the GEMM written into the
-    first rows of the worker's float32 Gram block ``gram``; also returns the
-    number of rows recomputed in full."""
+    first rows of the worker's float32 Gram block ``block``, whose bytes
+    the exact recompute reuses once the candidates are partitioned; also
+    returns the number of rows recomputed in full."""
     b, n = i1 - i0, X.shape[0]
     kp = min(k + CANDIDATE_PAD, n - 1)
+    flat = block.reshape(-1)
+    scratch = flat[: flat.size // 2 * 2].view(np.float64)
     if kp == n - 1:  # every other point is a candidate: nothing to certify
         others = np.arange(n - 1)
         cand = others + (others >= np.arange(i0, i1)[:, None])
-        nbr, nbd = _rank_candidates(_exact_block(X, i0, i1, cand, ops.scale), cand, k)
+        nbr, nbd = _rank_candidates(_exact_block(X, i0, i1, cand, ops.scale, scratch), cand, k)
         return nbr, nbd, 0
-    gram = np.matmul(ops.query(i0, i1), ops.base, out=gram[:b])
+    gram = np.matmul(ops.query(i0, i1), ops.base, out=block[:b])
     gram[np.arange(b), np.arange(i0, i1)] = np.inf
     cand = np.empty((b, kp), dtype=np.int64)
     excluded = np.empty(b)
@@ -410,14 +510,15 @@ def _block_preselect(X, ops, i0, i1, k, gram):
     # block's candidates and excluded values with a 2 MiB int64 output
     for s in _row_blocks(b, 8 * n):
         cand[s], excluded[s] = _partition_rows(gram[s], kp)
-    nbr, nbd = _rank_candidates(_exact_block(X, i0, i1, cand, ops.scale), cand, k)
+    del gram  # its bytes are the recompute's scratch from here on
+    nbr, nbd = _rank_candidates(_exact_block(X, i0, i1, cand, ops.scale, scratch), cand, k)
 
     slack = _gram_slack(ops.sq[i0:i1], ops.sq_max, excluded, X.shape[1], np.float32)
     kth = ops.scale * nbd[:, k - 1]
     failed = np.flatnonzero(~(kth * kth < excluded - slack))
     for r in failed:  # ranked against every point, one row at a time
         everyone = np.arange(n, dtype=np.int64)[None, :]
-        dist = _exact_block(X, i0 + r, i0 + r + 1, everyone, ops.scale)
+        dist = _exact_block(X, i0 + r, i0 + r + 1, everyone, ops.scale, scratch)
         dist[0, i0 + r] = np.inf
         nbr[r], nbd[r] = _rank_candidates(dist, everyone, k)
     return nbr, nbd, failed.size
@@ -433,6 +534,7 @@ def _walk_blocks(X, k, workers, sink):
     Each worker's Gram block is allocated here, once for the whole walk and
     in the calling thread, and every block it runs reuses it (a block of
     no rows when every other point is a candidate and no GEMM runs)."""
+    X = _rows_of(X)
     n = X.shape[0]
     ops = _GramOperands.of(X)
     nearest = np.empty(n)
@@ -472,9 +574,9 @@ def _stream_rows(m, k, threads, sink, jitter=False, seed=0) -> int:
     """Pass every query block of ``m``'s exact k-NN rows to ``sink``, with
     build_knn_graph's duplicate check and jitter retry; returns the number
     of rows recomputed in full."""
-    X = m.rows
+    rows = _rows_of(m)
     for attempt in range(2):
-        fallback, nearest = _walk_blocks(X, k, resolve_threads(threads), sink)
+        fallback, nearest = _walk_blocks(rows, k, resolve_threads(threads), sink)
         dup = np.flatnonzero(nearest == 0.0)
         if dup.size == 0:
             return fallback
@@ -482,8 +584,10 @@ def _stream_rows(m, k, threads, sink, jitter=False, seed=0) -> int:
             raise DuplicatePointsError(dup.tolist())
         rng = np.random.default_rng(seed)
         # noise + data has the bits of data + noise, in one n x d array
-        X = rng.uniform(-JITTER_SCALE, JITTER_SCALE, size=m.rows.shape)
-        X += m.rows
+        X = rng.uniform(-JITTER_SCALE, JITTER_SCALE, size=rows.shape)
+        for block in _row_blocks(m.n, 8 * m.d):
+            X[block] += rows.values(block)
+        rows = _Rows(X)
     raise AssertionError("unreachable")
 
 

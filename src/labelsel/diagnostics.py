@@ -14,7 +14,7 @@ import numpy as np
 
 from .density import UtilityScores, _walk_blocks
 from .errors import DataError
-from .io import EmbeddingMatrix, LabelVector, SelectionFile, l2_normalize
+from .io import EmbeddingMatrix, LabelVector, SelectionFile, _rows_of, l2_normalize
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,8 +127,9 @@ def _min_pairwise_distance(P: np.ndarray) -> float:
     The smallest nearest-neighbor distance of the kNN walk at k = 1
     (``density._walk_blocks``): exact, and as sqrt is monotone, bit-identical
     to the minimum of one full m x m x d difference pass wherever no square
-    under- or overflows. Float32 rows (a loaded ``.fvecs`` matrix) are read
-    as stored and widened exactly by the walk. Coincident rows read 0.0.
+    under- or overflows. ``P`` is an array or the ``_Rows`` of a selection,
+    read as stored and widened (and divided by their norms, for normalized
+    rows) by the walk. Coincident rows read 0.0.
     """
     return float(_walk_blocks(P, 1, 1, lambda *block: None)[1].min())
 
@@ -158,12 +159,13 @@ def compare(
     if utilities.utility.size != n:
         raise DataError("utility scores do not cover the matrix")
     percentiles = _average_rank_percentile(utilities.utility)
-    rows = []
+    rows = _rows_of(matrix)
+    out = []
     for name, selection in selections:
         selection.validate_against(n)
         idx = np.sort(selection.indices)  # canonical order: order-invariant output
         counts = np.bincount(labels.labels[idx], minlength=labels.num_classes)
-        mpd = _min_pairwise_distance(matrix.rows[idx]) if idx.size >= 2 else math.inf
+        mpd = _min_pairwise_distance(rows.take(idx)) if idx.size >= 2 else math.inf
         rep = SelectionReport(
             coverage=int((counts > 0).sum()),
             per_class_counts=counts,
@@ -171,8 +173,8 @@ def compare(
             mean_utility_rank_percentile=float(percentiles[idx].mean()),
             min_pairwise_distance=mpd,
         )
-        rows.append((name, rep))
-    return rows
+        out.append((name, rep))
+    return out
 
 
 def comparison_table(rows: list[tuple[str, SelectionReport]]) -> str:

@@ -11,18 +11,22 @@ On-disk formats:
 
 An embedding matrix built from float32 rows keeps them as float32
 (``EmbeddingMatrix.rows``), so a loaded ``.fvecs`` file holds its payload,
-n * d * 4 bytes, and no float64 copy of it; any other input, and every
-normalized matrix, is held as float64. All arithmetic is float64 regardless
-of storage: ``EmbeddingMatrix.data`` is always the float64 rows, and the kNN
-walk, the report's minimum distance, ``l2_normalize`` and the savers read
-float32 ``rows`` and widen them exactly, a block or tile at a time, so a
-float32 matrix and its float64 widening give byte-identical results. Every
-loaded object is immutable (array buffers are marked read-only) so instances
-can be shared freely across threads.
+n * d * 4 bytes, and no float64 copy of it; any other input is held as
+float64. A normalized matrix is its input's stored rows plus their float64
+norms (``EmbeddingMatrix.norms``, n * 8 bytes), not a copy. All arithmetic
+is float64 regardless of storage: every kernel reads a matrix through
+``_Rows``, which widens the rows it is asked for exactly and divides them
+by their norms, a block, a tile or a gather at a time, so a float32 matrix,
+its float64 widening and the eagerly divided float64 matrix give
+byte-identical results. ``EmbeddingMatrix.data`` builds the whole float64
+matrix on request; no kernel reads it. Every loaded object is immutable
+(array buffers are marked read-only) so instances can be shared freely
+across threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,26 +46,110 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _Rows:
+    """Read access to a matrix's float64 values, one block or gather at a
+    time. ``stored`` holds the rows as given (float32 or float64) and
+    ``norms``, for the rows of :func:`l2_normalize`, their float64 norms.
+    Each value is its stored entry widened exactly, then divided by its
+    row's norm: entry by entry the operations of dividing the whole widened
+    matrix at once, so a block or a gather holds that matrix's bytes. Every
+    kernel reads its rows through here."""
+
+    __slots__ = ("stored", "norms")
+
+    def __init__(self, stored, norms=None):
+        self.stored, self.norms = stored, norms
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.stored.shape
+
+    def values(self, index=slice(None), out=None) -> np.ndarray:
+        """The float64 values of rows ``index`` (a slice, an index or an
+        integer array of any shape), written to ``out`` when given. Without
+        ``out`` the result may be a read-only view of ``stored``."""
+        rows = self.stored[index]
+        if self.norms is not None:
+            return np.divide(rows, self.norms[index][..., None], out=out)
+        if out is None:
+            return np.asarray(rows, dtype=np.float64)
+        np.copyto(out, rows)
+        return out
+
+    def take(self, index) -> "_Rows":
+        """Rows ``index`` (an integer array), still stored as given."""
+        return _Rows(self.stored[index], None if self.norms is None else self.norms[index])
+
+    def mean(self) -> np.ndarray:
+        """Column mean of the values, bit for bit ``values().mean(axis=0)``.
+
+        numpy reduces C-ordered rows over axis 0 one row after another, so
+        each block is reduced with the running sum as its first row. Stored
+        float64 rows without norms are read in place, in any layout."""
+        if self.norms is None and self.stored.dtype == np.float64:
+            return self.stored.mean(axis=0)
+        from .density import _row_blocks  # density imports this module
+
+        n, d = self.shape
+        blocks = _row_blocks(n, 8 * d)
+        buf = np.empty((-(-n // len(blocks)) + 1, d))
+        total = np.zeros(d)
+        for rows in blocks:
+            buf[0] = total
+            b = rows.stop - rows.start
+            self.values(rows, out=buf[1 : b + 1])
+            np.add.reduce(buf[: b + 1], axis=0, out=total)
+        return total / n
+
+
+def _rows_of(x) -> _Rows:
+    """The ``_Rows`` of an EmbeddingMatrix, or of an array taken as rows:
+    float32 arrays as given, any other as float64."""
+    if isinstance(x, _Rows):
+        return x
+    if isinstance(x, EmbeddingMatrix):
+        return _Rows(x.rows, x.norms)
+    x = np.asarray(x)
+    return _Rows(x if x.dtype == np.float32 else np.asarray(x, dtype=np.float64))
+
+
+def _check_unit(values, first, what) -> None:
+    """DataError naming the first of these float64 rows (row ``first``
+    onwards) whose norm is off 1 by more than UNIT_NORM_TOL."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(values, axis=1)
+    off = np.abs(norms - 1.0)
+    if off.max() > UNIT_NORM_TOL:
+        i = int(off.argmax())
+        raise DataError(f"{what} row {first + i} has norm {norms[i]!r}")
+
+
 @dataclass(frozen=True, init=False)
 class EmbeddingMatrix:
     """n x d matrix of instance features, one row per instance.
 
-    ``rows`` holds the rows as given when they are float32 and not
-    normalized (every ``.fvecs`` load), else as float64. ``data`` is them
-    as float64: ``rows`` itself when float64, and a fresh read-only
-    widening of float32 rows on each access, so code that reads float32
-    rows repeatedly reads ``rows`` and widens what it uses.
+    ``rows`` holds the rows as given when they are float32 (every
+    ``.fvecs`` load), else as float64. A matrix from :func:`l2_normalize`
+    shares its input's ``rows`` and holds their float64 ``norms``; its
+    values are each row widened and divided by its norm, computed a block
+    at a time by the kernels, so no n x d float64 copy of them is held.
+    ``data`` is the values as float64: ``rows`` itself when they are
+    float64 and not divided, else a fresh read-only array on each access,
+    which the library's kernels never read.
 
     ``normalized`` asserts that every row has unit Euclidean norm (within
-    UNIT_NORM_TOL); it is set by :func:`l2_normalize`, never guessed.
+    UNIT_NORM_TOL); it is set by :func:`l2_normalize`, never guessed, or
+    given with rows the caller has normalized, which are checked a row
+    block at a time and kept as given.
     """
 
     rows: np.ndarray
     normalized: bool = False
+    norms: np.ndarray | None = None
 
     def __init__(self, data, normalized: bool = False):
         rows = np.asarray(data)
-        if rows.dtype != np.float32 or normalized:
+        if rows.dtype != np.float32:
             rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2:
             raise DataError(f"embedding matrix must be 2-D, got shape {rows.shape}")
@@ -71,22 +159,31 @@ class EmbeddingMatrix:
             bad = np.argwhere(~np.isfinite(rows))[0]
             raise DataError(f"non-finite value at row {bad[0]}, column {bad[1]}")
         if normalized:
-            norms = np.linalg.norm(rows, axis=1)
-            off = np.abs(norms - 1.0)
-            if off.max() > UNIT_NORM_TOL:
-                i = int(off.argmax())
-                raise DataError(
-                    f"normalized=True but row {i} has norm {norms[i]!r}"
-                )
+            from .density import _row_blocks  # density imports this module
+
+            for block in _row_blocks(rows.shape[0], 8 * rows.shape[1]):
+                values = np.asarray(rows[block], dtype=np.float64)
+                _check_unit(values, block.start, "normalized=True but")
         object.__setattr__(self, "rows", _frozen(rows))
         object.__setattr__(self, "normalized", normalized)
+        object.__setattr__(self, "norms", None)
+
+    @classmethod
+    def _divided(cls, rows: np.ndarray, norms: np.ndarray) -> "EmbeddingMatrix":
+        """The normalized matrix of stored ``rows`` (already frozen) and
+        their checked ``norms``."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "normalized", True)
+        object.__setattr__(m, "norms", _frozen(norms))
+        return m
 
     @property
     def data(self) -> np.ndarray:
-        """The rows as float64, read-only."""
-        if self.rows.dtype == np.float64:
+        """The values as float64, read-only."""
+        if self.rows.dtype == np.float64 and self.norms is None:
             return self.rows
-        return _frozen(self.rows.astype(np.float64))
+        return _frozen(_rows_of(self).values())
 
     @property
     def n(self) -> int:
@@ -270,46 +367,83 @@ def _load_csv(path: Path) -> EmbeddingMatrix:
 
 
 def save_embeddings(m: EmbeddingMatrix, path, format: str | None = None) -> None:
-    """Write an embedding matrix as .fvecs (float32) or .csv (float64 text)."""
+    """Write an embedding matrix's values as .fvecs (float32) or .csv
+    (float64 text), one row block at a time."""
+    from .density import _row_blocks  # density imports this module
+
     path = Path(path)
     fmt = format or path.suffix.lstrip(".").lower()
+    rows = _rows_of(m)
+    blocks = _row_blocks(m.n, 8 * m.d)
     if fmt == "fvecs":
-        data32 = np.asarray(m.rows, dtype=np.float32)
         table = np.empty((m.n, m.d + 1), dtype="<i4")
         table[:, 0] = m.d
-        table[:, 1:] = data32.view("<i4")
+        for block in blocks:
+            # rounds to float32 as astype does
+            np.copyto(table[block, 1:].view("<f4"), rows.values(block), casting="same_kind")
         table.tofile(path)
     elif fmt == "csv":
-        _write_lines(path, (",".join(repr(float(v)) for v in row) for row in m.rows))
+        lines = (
+            ",".join(map(repr, row)) for block in blocks for row in rows.values(block).tolist()
+        )
+        _write_lines(path, lines)
     else:
         raise DataError(f"unknown embedding format {fmt!r} for {path}")
+
+
+def _row_norms(block: np.ndarray, first: int) -> np.ndarray:
+    """Euclidean norms of float64 rows (row ``first`` onwards), as
+    ``np.linalg.norm`` takes them: the square root of the sum of squares.
+
+    A row whose sum of squares overflows or falls below the smallest
+    normal float64 is scaled first by the power of two of its largest
+    magnitude, exactly, and its norm scaled back, so rows near either end
+    of float64's range get the norm of their unit-scale copy times that
+    power. A zero row, or one whose norm is not a finite normal float64,
+    is a DataError naming it."""
+    tiny = np.finfo(np.float64).tiny
+    with np.errstate(over="ignore", under="ignore"):
+        sq = np.add.reduce(block * block, axis=1)
+    norms = np.sqrt(sq)
+    for i in np.flatnonzero(~((sq >= tiny) & (sq < np.inf))).tolist():
+        peak = float(np.abs(block[i]).max())
+        if peak == 0.0:
+            raise DataError(f"zero-norm row at index {first + i}; cannot normalize")
+        e = math.frexp(peak)[1]
+        with np.errstate(under="ignore"):
+            scaled = np.ldexp(block[i], -e)
+        with np.errstate(over="ignore"):
+            norms[i] = np.ldexp(np.sqrt(np.add.reduce(scaled * scaled)), e)
+        if not tiny <= norms[i] < np.inf:
+            raise DataError(
+                f"row {first + i} has norm {float(norms[i])!r}, not a finite normal "
+                "float64; cannot normalize"
+            )
+    return norms
 
 
 def l2_normalize(m: EmbeddingMatrix) -> EmbeddingMatrix:
     """Scale every row to unit Euclidean norm.
 
     Idempotent: an already-normalized matrix is returned unchanged, so
-    normalizing twice is bit-identical to normalizing once. The float64
-    output is written one row block at a time: each block is widened, its
-    norms taken and divided out, so besides the input and the output only
-    one block's temporaries are held. Every row's norm is the same d-term
-    sum whatever the block.
+    normalizing twice is bit-identical to normalizing once. The result
+    shares ``m``'s stored rows and holds their float64 norms (n * 8
+    bytes); the kernels divide each row by its norm as they read it. The
+    norms are taken one row block at a time, each block widened, and its
+    normalized rows checked for unit norm, so besides the norms only one
+    block's temporaries are held. Every row's norm is the same d-term sum
+    whatever the block.
     """
     if m.normalized:
         return m
     from .density import _row_blocks  # density imports this module
 
-    out = np.empty((m.n, m.d))
-    for rows in _row_blocks(m.n, 8 * m.d):
-        block = np.asarray(m.rows[rows], dtype=np.float64)
-        norms = np.linalg.norm(block, axis=1)
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise DataError(
-                f"zero-norm row at index {rows.start + int(zero[0])}; cannot normalize"
-            )
-        np.divide(block, norms[:, None], out=out[rows])
-    return EmbeddingMatrix(data=out, normalized=True)
+    norms = np.empty(m.n)
+    rows = _Rows(m.rows, norms)
+    for block in _row_blocks(m.n, 8 * m.d):
+        norms[block] = _row_norms(np.asarray(m.rows[block], dtype=np.float64), block.start)
+        _check_unit(rows.values(block), block.start, "after l2_normalize,")
+    return EmbeddingMatrix._divided(m.rows, norms)
 
 
 def save_selection(s: SelectionFile, path) -> None:

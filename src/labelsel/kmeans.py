@@ -25,7 +25,7 @@ import numpy as np
 
 from .density import _gram_slack, _row_blocks
 from .errors import DataError, EmptyClusterError
-from .io import EmbeddingMatrix, _frozen
+from .io import _frozen, _Rows, _rows_of
 
 GENERATOR_NAME = "pcg64"
 DEFAULT_MAX_ITERS = 300
@@ -68,35 +68,51 @@ class Clustering:
         return np.flatnonzero(self.assignment == cluster_id)
 
 
-def _as_data(m) -> np.ndarray:
-    return m.data if isinstance(m, EmbeddingMatrix) else np.asarray(m, dtype=np.float64)
-
-
 @dataclass(frozen=True)
 class _CentredRows:
-    """Rows ``X``, their mean ``mu`` and, unless built with ``store=False``,
-    the centred copy ``Xc = X - mu`` and its squared row norms ``xx``.
-    Centring keeps an offset from cancelling digits in a Gram expansion.
-    Without ``Xc``, each block is centred as it is used, bit for bit that
-    block of ``Xc``, and no n x d copy is held; a fit drops ``Xc`` after
-    k-means++ and keeps ``xx``, which the blocks then read."""
+    """Rows ``X`` (a ``_Rows``), their mean ``mu`` and, unless built with
+    ``store=False``, the centred copy ``Xc = X - mu`` and its squared row
+    norms ``xx``. Centring keeps an offset from cancelling digits in a Gram
+    expansion. Without ``Xc``, each block's values are read into a buffer
+    and centred there, bit for bit that block of ``Xc``, and no n x d copy
+    is held; a fit drops ``Xc`` after k-means++ and keeps ``xx``, which the
+    blocks then read."""
 
-    X: np.ndarray
+    X: _Rows
     mu: np.ndarray
     Xc: np.ndarray | None = None
     xx: np.ndarray | None = None
 
     @classmethod
     def of(cls, X, store=True):
-        rows = cls(X=X, mu=X.mean(axis=0))
-        return cls(X, rows.mu, *rows.block(slice(None))) if store else rows
+        X = _rows_of(X)
+        mu = X.mean()
+        if not store:
+            return cls(X, mu)
+        Xc = np.empty(X.shape)
+        for rows in _row_blocks(X.shape[0], 8 * X.shape[1]):
+            X.values(rows, out=Xc[rows])
+            Xc[rows] -= mu
+        return cls(X, mu, Xc, np.einsum("ij,ij->i", Xc, Xc))
 
-    def block(self, rows):
-        """The centred rows of one block and their squared norms."""
+    def block(self, rows, buf):
+        """The centred rows of one block, in ``buf`` when they are not
+        stored, and their squared norms."""
         if self.Xc is not None:
             return self.Xc[rows], self.xx[rows]
-        xc = self.X[rows] - self.mu
+        xc = self.X.values(rows, out=buf[: rows.stop - rows.start])
+        xc -= self.mu
         return xc, np.einsum("ij,ij->i", xc, xc) if self.xx is None else self.xx[rows]
+
+
+def _columns(X: _Rows) -> np.ndarray:
+    """The d x n C-contiguous transpose of the values, built a row block at
+    a time."""
+    n, d = X.shape
+    XT = np.empty((d, n))
+    for rows in _row_blocks(n, 8 * d):
+        XT[:, rows] = X.values(rows).T
+    return XT
 
 
 def _sq_dist_blocks(rows: _CentredRows, C, nearest=None, floor=2.0, out=None):
@@ -124,6 +140,9 @@ def _sq_dist_blocks(rows: _CentredRows, C, nearest=None, floor=2.0, out=None):
     X = rows.X
     n, d = X.shape
     m = C.shape[0]
+    blocks = _row_blocks(n, 8 * m)
+    # the one buffer every block's centred rows are read into
+    buf = None if rows.Xc is not None else np.empty((-(-n // len(blocks)), d))
     Cc = C - rows.mu
     cc = np.einsum("ij,ij->i", Cc, Cc)
     cc_max = float(cc.max())
@@ -135,7 +154,7 @@ def _sq_dist_blocks(rows: _CentredRows, C, nearest=None, floor=2.0, out=None):
 
     def certified(block):
         """The certified g of one row block; its other arrays die here."""
-        xc, xx = rows.block(block)
+        xc, xx = rows.block(block, buf)
         # without a rule no pass runs along the rows, and the transposed
         # product keeps every pass on long rows when the columns are few
         if nearest:
@@ -174,11 +193,11 @@ def _sq_dist_blocks(rows: _CentredRows, C, nearest=None, floor=2.0, out=None):
             r = np.concatenate([p[i] for p, (i, _) in zip(parts, hits)])
             c = np.concatenate([j for _, j in hits])
         for chunk in _row_blocks(r.size, 8 * d):  # differences in 2 MiB blocks
-            diff = X[block][r[chunk]] - C[c[chunk]]
+            diff = X.values(block.start + r[chunk]) - C[c[chunk]]
             g[r[chunk], c[chunk]] = (diff * diff).sum(axis=1)
         return g
 
-    for block in _row_blocks(n, 8 * m):
+    for block in blocks:
         # no reference kept: the next block is built once the consumer drops g
         yield block, certified(block)
 
@@ -199,7 +218,7 @@ def _assign_with_dist(rows: _CentredRows, C):
 
 def assign_step(m, centroids: np.ndarray) -> np.ndarray:
     """Nearest-centroid assignment by squared distance, ties to lower id."""
-    rows = _CentredRows.of(_as_data(m))
+    rows = _CentredRows.of(m)
     return _assign_with_dist(rows, np.asarray(centroids, dtype=np.float64))[0]
 
 
@@ -209,7 +228,7 @@ def update_step(m, assignment: np.ndarray, clusters: int):
     Returns (centroids, empty_ids); rows for empty clusters are zero-filled
     and listed in empty_ids so the caller can re-seed them.
     """
-    return _update_from_columns(np.ascontiguousarray(_as_data(m).T), assignment, clusters)
+    return _update_from_columns(_columns(_rows_of(m)), assignment, clusters)
 
 
 def _update_from_columns(XT, assignment, clusters):
@@ -230,9 +249,10 @@ def _update_from_columns(XT, assignment, clusters):
 def objective_value(m, centroids: np.ndarray, assignment: np.ndarray) -> float:
     """Within-cluster sum of squares, sum((X - C[a])^2), computed in place
     in one gathered n x d array."""
-    X = _as_data(m)
+    X = _rows_of(m)
     diff = np.asarray(centroids, dtype=np.float64)[np.asarray(assignment, dtype=np.int64)]
-    np.subtract(X, diff, out=diff)
+    for rows in _row_blocks(X.shape[0], 8 * X.shape[1]):
+        np.subtract(X.values(rows), diff[rows], out=diff[rows])
     np.multiply(diff, diff, out=diff)
     return float(diff.sum())
 
@@ -247,7 +267,7 @@ def kmeanspp_init(X: np.ndarray, clusters: int, rng: np.random.Generator) -> np.
     have D^2 exactly 0 and are never drawn again. Degenerate (all-zero)
     mass falls back to the lowest unchosen index.
     """
-    return _kmeanspp(_CentredRows.of(np.asarray(X, dtype=np.float64)), clusters, rng)
+    return _kmeanspp(_CentredRows.of(X), clusters, rng)
 
 
 def _kmeanspp(rows: _CentredRows, clusters, rng):
@@ -258,7 +278,7 @@ def _kmeanspp(rows: _CentredRows, clusters, rng):
 
     def sq_dists_from(idx):
         out = np.empty((idx.size, n))
-        for block, g in _sq_dist_blocks(rows, X[idx]):
+        for block, g in _sq_dist_blocks(rows, X.values(idx)):
             out[:, block] = g.T
             del g  # before the next block is built
         return out
@@ -281,11 +301,12 @@ def _kmeanspp(rows: _CentredRows, clusters, rng):
             chosen[j] = int(np.flatnonzero(~taken)[0])
             np.minimum(d2, sq_dists_from(chosen[j : j + 1])[0], out=d2)
         taken[chosen[j]] = True
-    return X[chosen].copy()
+    return X.values(chosen)
 
 
 def random_points_init(X: np.ndarray, clusters: int, rng: np.random.Generator) -> np.ndarray:
-    return X[rng.choice(X.shape[0], size=clusters, replace=False)].copy()
+    X = _rows_of(X)
+    return X.values(rng.choice(X.shape[0], size=clusters, replace=False))
 
 
 def _repair_empty(X, centroids, assignment, empty):
@@ -296,9 +317,9 @@ def _repair_empty(X, centroids, assignment, empty):
         counts = np.bincount(work, minlength=centroids.shape[0])
         donor = int(counts.argmax())
         members = np.flatnonzero(work == donor)
-        diff = X[members] - centroids[donor][None, :]
+        diff = X.values(members) - centroids[donor][None, :]
         far = members[int(np.argmax((diff * diff).sum(axis=1)))]
-        centroids[e] = X[far]
+        centroids[e] = X.values(far)
         work[far] = e
     return centroids
 
@@ -307,11 +328,11 @@ def kmeans_fit(m, clusters: int, init: str = "kmeanspp", seed: int = 0) -> Clust
     """Lloyd's algorithm from ``init`` seeds ("kmeanspp" or
     "random_points"). Clusters still empty after one last repair round make
     Clustering raise EmptyClusterError."""
-    X = _as_data(m)
+    X = _rows_of(m)
     n = X.shape[0]
     if not 1 <= clusters <= n:
         raise DataError(f"clusters must be in [1, n] = [1, {n}], got {clusters}")
-    if not np.isfinite(X).all():
+    if not np.isfinite(X.stored).all():
         raise DataError("non-finite value in input matrix")
     rng = np.random.default_rng(seed)
     rows = _CentredRows.of(X)
@@ -325,7 +346,7 @@ def kmeans_fit(m, clusters: int, init: str = "kmeanspp", seed: int = 0) -> Clust
     # k-means++ reuses the centred copy over its C passes; Lloyd centres
     # each row block as it goes, so Xc is gone before XT is built
     rows = _CentredRows(X, rows.mu, xx=rows.xx)
-    XT = np.ascontiguousarray(X.T)
+    XT = _columns(X)
     assignment, best = _assign_with_dist(rows, centroids)
     prev = float(best.sum())
     history = [prev]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .density import knn_utility_scores, UtilityScores
 from .errors import DataError, EmptyClusterError
-from .io import EmbeddingMatrix, _frozen
+from .io import EmbeddingMatrix, _frozen, _rows_of
 from .kmeans import Clustering, _CentredRows, _sq_dist_blocks, kmeans_fit
 
 # the distance kernel's accuracy floor: every squared distance kept from
@@ -164,7 +164,7 @@ def regularize_utilities(
     while the accumulator keeps only their finite contributions;
     ``select_usl`` counts them as ``trace["reg_excluded"]``.
     """
-    X = matrix.data
+    X = _rows_of(matrix)
     n = X.shape[0]
     selected = np.asarray(selected, dtype=np.int64)
     m = selected.size
@@ -178,7 +178,7 @@ def regularize_utilities(
     reg = np.empty(n)
     excluded: list[int] = []
     for rows, dist in _sq_dist_blocks(
-        _CentredRows.of(X, store=False), X[selected], nearest=h, floor=_REG_EXACT_MARGIN
+        _CentredRows.of(X, store=False), X.values(selected), nearest=h, floor=_REG_EXACT_MARGIN
     ):
         np.sqrt(dist, out=dist)
         eligible = assignment[rows, None] != sel_clusters[None, :]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .density import _check_k, _check_rows, _row_blocks, _stream_rows
 from .errors import DataError, EmptyClusterError, NumericalError
-from .io import EmbeddingMatrix, _frozen
+from .io import EmbeddingMatrix, _frozen, _rows_of
 from .kmeans import _CentredRows, _sq_dist_blocks
 from .usl import SelectionResult, _per_cluster_argmax
 
@@ -107,12 +107,14 @@ class UsltState:
 
 
 def initial_state(features: np.ndarray, num_clusters: int, rng: np.random.Generator) -> UsltState:
-    """Centroids copied from randomly chosen feature rows, uniform EMA."""
+    """Centroids copied from randomly chosen feature rows (an array or an
+    EmbeddingMatrix's values), uniform EMA."""
+    features = _rows_of(features)
     n = features.shape[0]
     if not 1 <= num_clusters <= n:
         raise DataError(f"num_clusters must be in [1, {n}], got {num_clusters}")
     rows = rng.choice(n, size=num_clusters, replace=False)
-    centroids = features[rows].copy()
+    centroids = features.values(rows)
     return UsltState(
         centroids=centroids,
         running_mean=np.full(num_clusters, 1.0 / num_clusters),
@@ -153,7 +155,7 @@ def _logits(rows, centroids, metric, out=None) -> np.ndarray:
         out = np.empty((rows.shape[0], centroids.shape[0]))
     if metric == "dot":
         return np.matmul(rows, centroids.T, out=out)
-    centred = _CentredRows(rows, centroids.mean(axis=0))
+    centred = _CentredRows(_rows_of(rows), centroids.mean(axis=0))
     for _, g in _sq_dist_blocks(centred, centroids, nearest=1, out=out):
         np.negative(g, out=g)
     return out
@@ -181,11 +183,13 @@ def assign(x: np.ndarray, state: UsltState, metric: str = "dot") -> AssignmentPa
     return AssignmentPair(soft=soft, hard=hard, confidence=float(soft.max()))
 
 
-def _logit_blocks(X: np.ndarray, centroids: np.ndarray, metric: str):
-    """(rows, logits of X[rows]) for each of the ``_row_blocks`` of X; the
-    caller has checked the metric and the dimension."""
+def _logit_blocks(X, centroids: np.ndarray, metric: str):
+    """(rows, logits of X[rows]) for each of the ``_row_blocks`` of X (an
+    array or a ``_Rows``); the caller has checked the metric and the
+    dimension."""
+    X = _rows_of(X)
     for rows in _row_blocks(X.shape[0], 8 * centroids.shape[0]):
-        yield rows, _logits(X[rows], centroids, metric)
+        yield rows, _logits(X.values(rows), centroids, metric)
 
 
 @dataclass(frozen=True)
@@ -619,7 +623,7 @@ def fit_centroids(
     optimizer = optimizer or OptimizerConfig()
     if not matrix.normalized:
         raise DataError("features must be L2-normalized before fitting")
-    X = matrix.data
+    X = _rows_of(matrix)
     n = X.shape[0]
     rng = np.random.default_rng(optimizer.seed)
     state = initial_state(X, num_clusters, rng)
@@ -643,9 +647,11 @@ def fit_centroids(
             nbr = neighbors[idx, rng.integers(0, params.neighbor_k, size=batch)]
             # the neighbor logits under the pre-step centroids feed both the
             # local targets and the EMA batch mean
-            targets = step_loss.neighbor_targets(X[nbr], centroids, running_mean, params, metric)
+            targets = step_loss.neighbor_targets(
+                X.values(nbr), centroids, running_mean, params, metric
+            )
             batch_mean = step_loss.neighbor_mean()
-            terms = step_loss.loss(X[idx], centroids, targets, params, metric)
+            terms = step_loss.loss(X.values(idx), centroids, targets, params, metric)
             loss, grad = terms.loss, terms.grad
             if not np.isfinite(loss) or not np.isfinite(grad).all():
                 raise NumericalError(
@@ -702,7 +708,7 @@ def select_uslt(
     fit = fit_centroids(matrix, budget, params, optimizer, metric, threads=threads)
     confidence = np.empty(matrix.n)
     hard = np.empty(matrix.n, dtype=np.int64)
-    for rows, z in _logit_blocks(matrix.data, fit.state.centroids, metric):
+    for rows, z in _logit_blocks(_rows_of(matrix), fit.state.centroids, metric):
         hard[rows] = np.argmax(z, axis=1)
         # the softmax row maximum, 1 / (sum of the shifted exponentials)
         z -= z.max(axis=1, keepdims=True)
