@@ -277,7 +277,8 @@ def _exact_block(X, i0, i1, cand, scale=1.0, scratch=None):
     2^-446 of it.
 
     ``scratch``, a float64 array of no further use to the caller, may hold
-    the tiles of a normalized matrix (see ``_divided_squares``).
+    the buffers of a normalized matrix's divided rows (see
+    ``_divided_squares``).
     """
     rows = _rows_of(X)
     rescale = not 2.0**-64 <= scale <= 2.0**64
@@ -332,31 +333,44 @@ def _tile_squares(X, query, cand, scale):
 def _divided_squares(rows, i0, i1, cand, scale, scratch=None):
     """``_tile_squares`` for rows divided by their norms as they are read.
 
-    When every row's values fit in ``scratch`` (the walk passes its
-    worker's Gram block, dead once the candidates are partitioned: d <= 64)
-    or in EXACT_TILE_BYTES, all rows are divided there and the pairs tiled
-    from them as from stored rows. Otherwise the block's distinct
-    candidates are divided once each, in ascending chunks, and each chunk's
-    pairs gather their candidate and query rows from it, with the chunk and
-    the pairs' two buffers of EXACT_TILE_BYTES each taken from ``scratch``
-    when it has room. At n = 10,000, d = 128 a 128-row block reads each
-    row about five times; on one thread of a 2-core Xeon VM such a block at
-    416 candidates took about 15 ms, against 25 ms with a divide per
-    gathered entry and 13 ms gathering from a stored float64 copy. Smaller
-    buffers cost CPU on two workers, which contend for the GIL between
-    numpy calls: a third of that size made three times the calls and 25%
-    more CPU for the walk; and allocated per block, the buffers made a
-    second worker add more to ``select_usl``'s peak than its Gram block plus
-    2 MiB. Each pair's differences are summed as one row, which numpy sums
-    as it does the rows of a tile."""
+    A block with at least as many pairs as there are rows (b * c >= n)
+    divides every row once into ``scratch`` when they fit there, and tiles
+    its pairs from them as from stored rows. Otherwise the block's distinct
+    candidates are divided once each, in ascending chunks of
+    EXACT_TILE_BYTES, and each chunk's pairs gather their candidate and
+    query rows from it; the chunk and the pairs' two buffers are taken
+    from ``scratch`` when it has room. The walk passes its worker's Gram
+    block, dead once the candidates are partitioned, as ``scratch``. Each
+    pair's differences are summed as one row, which numpy sums as it does
+    the rows of a tile, so either way gives the eager bytes.
+
+    Measured per 128-row block on one thread of a 2-core Xeon VM:
+
+    * n = 10,000, d = 128, 416 candidates (each row read about five
+      times; the rows do not fit in the Gram block): about 15 ms, against
+      25 ms with a divide per gathered entry and 13 ms gathering from a
+      stored float64 copy.
+    * n = 1,000, d = 2, 416 candidates (ring-50's USL): with the chunks
+      alone, their per-pair index arrays made perfbench's ring-50
+      ``select_cpu_s`` 12% and its peak 2.4 MB higher than a stored
+      float64 copy; dividing every row, 4% higher and 0.4 MB lower (5
+      pairs of runs each). At 5,000 x 64 with 36 candidates, 4,608 pairs,
+      every row took 1.16 ms and the chunks 1.21 ms.
+    * The distinct candidates come from an n-entry mark and its running
+      count, 0.12 ms at n = 10,000 against 1.3 ms for a sort of the b x c
+      ids; at n = 1.28M it is 9 ms, about 1% of the block's
+      ``argpartition`` (0.7 s), itself O(n) per row.
+    * Smaller buffers cost CPU on two workers, which contend for the GIL
+      between numpy calls: a third of that size made three times the calls
+      and 25% more CPU for the walk; allocated per block, they made a
+      second worker add more to ``select_usl``'s peak than its Gram block
+      plus 2 MiB."""
     n, d = rows.shape
     b, c = cand.shape
     query = rows.values(slice(i0, i1))
-    size = n * d
-    fits = scratch is not None and scratch.size >= size
-    if fits or 8 * size <= EXACT_TILE_BYTES:
-        values = (scratch[:size] if fits else np.empty(size)).reshape(n, d)
-        return _tile_squares(rows.values(slice(None), out=values), query, cand, scale)
+    if scratch is not None and n <= b * c and scratch.size >= n * d:
+        values = rows.values(slice(None), out=scratch[: n * d].reshape(n, d))
+        return _tile_squares(values, query, cand, scale)
     # the distinct candidates, ascending, and each pair's place among them
     mark = np.zeros(n, dtype=bool)
     mark[cand] = True
@@ -365,9 +379,11 @@ def _divided_squares(rows, i0, i1, cand, scale, scratch=None):
     pos = place[cand].ravel()
     pos -= 1
     del mark, place
-    per = max(1, EXACT_TILE_BYTES // (8 * d))  # rows of each buffer
-    room = scratch is not None and scratch.size >= 3 * per * d
-    buffers = scratch[: 3 * per * d] if room else np.empty(3 * per * d)
+    cap = max(1, EXACT_TILE_BYTES // (8 * d))  # rows of one buffer
+    per, step = min(ids.size, cap), min(b * c, cap)  # chunk rows, pairs at once
+    size = (per + 2 * step) * d
+    room = scratch is not None and scratch.size >= size
+    buffers = scratch[:size] if room else np.empty(size)
     groups = -(-ids.size // per)
     group = pos // per
     # the pairs by chunk, in row order within each (a radix sort below 2^16)
@@ -376,14 +392,15 @@ def _divided_squares(rows, i0, i1, cand, scale, scratch=None):
     local = pos[order] % per  # each pair's row in its chunk
     del group, pos
     query_of = order // c
-    values, diffs, queries = buffers.reshape(3, per, d)
+    values = buffers[: per * d].reshape(per, d)
+    diffs, queries = buffers[per * d :].reshape(2, step, d)
     squares = np.empty(b * c)
     start = 0
     for g, end in enumerate(ends):
         chunk = ids[g * per : (g + 1) * per]
         v = rows.values(chunk, out=values[: chunk.size])
-        for s in range(start, end, per):
-            e = min(s + per, end)
+        for s in range(start, end, step):
+            e = min(s + step, end)
             diff, q = diffs[: e - s], queries[: e - s]
             np.take(v, local[s:e], axis=0, out=diff, mode="clip")
             np.take(query, query_of[s:e], axis=0, out=q, mode="clip")

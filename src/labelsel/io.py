@@ -83,11 +83,16 @@ class _Rows:
     def mean(self) -> np.ndarray:
         """Column mean of the values, bit for bit ``values().mean(axis=0)``.
 
-        numpy reduces C-ordered rows over axis 0 one row after another, so
-        each block is reduced with the running sum as its first row. Stored
-        float64 rows without norms are read in place, in any layout."""
+        numpy reduces C-ordered rows over axis 0 one row after another when
+        there are two columns or more, so each block is reduced with the
+        running sum as its first row. A single column is summed pairwise as
+        one contiguous run, so it is widened whole (n * 8 bytes, the size
+        of the norms). Stored float64 rows without norms are read in place,
+        in any layout."""
         if self.norms is None and self.stored.dtype == np.float64:
             return self.stored.mean(axis=0)
+        if self.shape[1] == 1:
+            return self.values().mean(axis=0)
         from .density import _row_blocks  # density imports this module
 
         n, d = self.shape
@@ -113,12 +118,17 @@ def _rows_of(x) -> _Rows:
     return _Rows(x if x.dtype == np.float32 else np.asarray(x, dtype=np.float64))
 
 
+def _unit_norms(values):
+    """The norms of float64 rows and how far each is off 1."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(values, axis=1)
+    return norms, np.abs(norms - 1.0)
+
+
 def _check_unit(values, first, what) -> None:
     """DataError naming the first of these float64 rows (row ``first``
     onwards) whose norm is off 1 by more than UNIT_NORM_TOL."""
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(values, axis=1)
-    off = np.abs(norms - 1.0)
+    norms, off = _unit_norms(values)
     if off.max() > UNIT_NORM_TOL:
         i = int(off.argmax())
         raise DataError(f"{what} row {first + i} has norm {norms[i]!r}")
@@ -395,17 +405,22 @@ def _row_norms(block: np.ndarray, first: int) -> np.ndarray:
     """Euclidean norms of float64 rows (row ``first`` onwards), as
     ``np.linalg.norm`` takes them: the square root of the sum of squares.
 
-    A row whose sum of squares overflows or falls below the smallest
-    normal float64 is scaled first by the power of two of its largest
-    magnitude, exactly, and its norm scaled back, so rows near either end
-    of float64's range get the norm of their unit-scale copy times that
-    power. A zero row, or one whose norm is not a finite normal float64,
-    is a DataError naming it."""
+    A row whose sum of squares overflows, underflows to zero, or is
+    subnormal and so inexact that the row divided by that norm fails the
+    unit check, is scaled first by the power of two of its largest
+    magnitude, exactly, and its norm scaled back: rows near either end of
+    float64's range get the norm of their unit-scale copy times that
+    power, and every row the plain norm serves keeps it. A zero row, or
+    one whose norm is not a finite normal float64, is a DataError naming
+    it."""
     tiny = np.finfo(np.float64).tiny
     with np.errstate(over="ignore", under="ignore"):
         sq = np.add.reduce(block * block, axis=1)
     norms = np.sqrt(sq)
     for i in np.flatnonzero(~((sq >= tiny) & (sq < np.inf))).tolist():
+        if 0.0 < sq[i] < np.inf:
+            if _unit_norms(block[i : i + 1] / norms[i])[1][0] <= UNIT_NORM_TOL:
+                continue  # the plain norm passes, as it always has
         peak = float(np.abs(block[i]).max())
         if peak == 0.0:
             raise DataError(f"zero-norm row at index {first + i}; cannot normalize")

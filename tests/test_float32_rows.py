@@ -36,6 +36,7 @@ from labelsel import (
     select_uslt,
 )
 from labelsel import density
+from labelsel.io import UNIT_NORM_TOL, _rows_of
 
 from helpers import traced_peak
 
@@ -233,6 +234,23 @@ class TestWideningInvariance:
         assert same_graph(g32, build_knn_graph(m64, 9, threads=2))
         assert same_scores(knn_utility_scores(m32, 9), knn_utility_scores(m64, 9))
 
+    def test_single_column_mean_byte_identical(self):
+        # numpy sums one column pairwise, not row after row, so a block by
+        # block mean of these rows, whose float64 sum is inexact, would
+        # differ in its last bits from the widening's
+        rng = np.random.default_rng(4)
+        n = 50_000
+        X = rng.standard_normal((n, 1)) * 10.0 ** rng.uniform(-8, 8, (n, 1))
+        X32 = X.astype(np.float32)
+        X = X32.astype(np.float64)
+        assert X.sum() != X[::-1].sum()  # the order of the terms shows
+        m32, m64 = EmbeddingMatrix(data=X32), EmbeddingMatrix(data=X)
+        assert _rows_of(m32).mean().tobytes() == X.mean(axis=0).tobytes()
+        a, b = kmeans_fit(m32, 4, seed=1), kmeans_fit(m64, 4, seed=1)
+        assert a.assignment.tobytes() == b.assignment.tobytes()
+        assert a.centroids.tobytes() == b.centroids.tobytes()
+        assert a.objective_history == b.objective_history
+
     @settings(max_examples=20, deadline=None)
     @given(
         kind=st.sampled_from(["normal", "offset", "lattice", "tiny", "huge"]),
@@ -355,10 +373,13 @@ class TestNormalizedViews:
         tile=st.integers(1, 4096),
         wide=st.booleans(),
         e=st.sampled_from([0, 70]),
+        room=st.sampled_from([None, 0.5, 1.0, 3.0]),
     )
-    def test_exact_block_matches_eager_at_any_tile(self, seed, b, c, d, tile, wide, e):
-        # the distinct candidates of a block are divided once, in chunks
-        # of any size, whatever their order and repeats
+    def test_exact_block_matches_eager_at_any_tile(self, seed, b, c, d, tile, wide, e, room):
+        # every row divided into the scratch, or the distinct candidates of
+        # the block divided once, in chunks of any size, whatever their
+        # order and repeats; the scratch starts as NaN, so a stale entry
+        # shows
         rng = np.random.default_rng(seed)
         X = 100.0 * rng.random() + rng.standard_normal((b + c, d))
         rows = X if wide else X.astype(np.float32)
@@ -367,7 +388,9 @@ class TestNormalizedViews:
         want = density._exact_block(eager(rows), 0, b, cand, scale)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(density, "EXACT_TILE_BYTES", tile)
-            got = density._exact_block(l2_normalize(EmbeddingMatrix(data=rows)), 0, b, cand, scale)
+            scratch = None if room is None else np.full(int(room * (b + c) * d), np.nan)
+            m = l2_normalize(EmbeddingMatrix(data=rows))
+            got = density._exact_block(m, 0, b, cand, scale, scratch)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("e", [-1000, -600, 600, 900])
@@ -388,6 +411,23 @@ class TestNormalizedViews:
         assert scaled.data.tobytes() == unit.data.tobytes()
         assert scaled.norms.tobytes() == np.ldexp(unit.norms, e).tobytes()
         assert picks.tobytes() == select_usl(unit, 6, UslParams(k=10), threads=1).indices.tobytes()
+
+    def test_subnormal_sums_keep_their_plain_norm_when_it_serves(self):
+        # rows whose sum of squares is subnormal: those the plain norm
+        # divides to unit norm keep its bytes; the rest are rescaled
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((400, 5)) * 10.0 ** rng.uniform(-162, -150, (400, 1))
+        with np.errstate(under="ignore", divide="ignore", invalid="ignore"):
+            sq = np.add.reduce(X * X, axis=1)
+            plain = X / np.sqrt(sq)[:, None]
+            served = np.abs(np.linalg.norm(plain, axis=1) - 1.0) <= UNIT_NORM_TOL
+        subnormal = sq < np.finfo(np.float64).tiny
+        assert (served & subnormal).any() and (~served).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = l2_normalize(EmbeddingMatrix(data=X)).data
+        assert got[served].tobytes() == plain[served].tobytes()
+        assert (np.abs(np.linalg.norm(got, axis=1) - 1.0) <= UNIT_NORM_TOL).all()
 
     @pytest.mark.parametrize(
         "row, message",
