@@ -183,13 +183,17 @@ def assign(x: np.ndarray, state: UsltState, metric: str = "dot") -> AssignmentPa
     return AssignmentPair(soft=soft, hard=hard, confidence=float(soft.max()))
 
 
-def _logit_blocks(X, centroids: np.ndarray, metric: str):
+def _logit_blocks(X, centroids: np.ndarray, metric: str, buffer=None):
     """(rows, logits of X[rows]) for each of the ``_row_blocks`` of X (an
     array or a ``_Rows``); the caller has checked the metric and the
-    dimension."""
+    dimension. A block's logits go to the leading rows of ``buffer`` (a
+    float64 array with one column per centroid) when they fit, else to a
+    fresh array; the blocks are the same either way."""
     X = _rows_of(X)
     for rows in _row_blocks(X.shape[0], 8 * centroids.shape[0]):
-        yield rows, _logits(X.values(rows), centroids, metric)
+        size = rows.stop - rows.start
+        out = buffer[:size] if buffer is not None and size <= buffer.shape[0] else None
+        yield rows, _logits(X.values(rows), centroids, metric, out)
 
 
 @dataclass(frozen=True)
@@ -218,6 +222,32 @@ def _frozen_logits(X, centroids, metric):
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     _check_dim(X, centroids)
     return X, _logits(X, centroids, metric)
+
+
+def _check_frozen(n, clusters, targets=None, hard_labels=None, confident_mask=None):
+    """Check the frozen inputs given for a batch of n rows against
+    ``clusters`` centroids: local targets hold one non-negative row per
+    instance and one column per centroid (the loss engine's
+    log(max(t, smallest subnormal)) needs t >= 0), hard labels are n cluster
+    ids in [0, clusters), and the confidence mask is n booleans. Returns the
+    targets as float64, or None."""
+    if targets is not None:
+        targets = np.asarray(targets, dtype=np.float64)
+        if targets.shape != (n, clusters):
+            raise DataError("local targets must have shape (batch size, clusters)")
+        if (targets < 0).any():
+            raise DataError("local targets must be non-negative")
+    if hard_labels is not None:
+        hard_labels = np.asarray(hard_labels)
+        if hard_labels.shape != (n,) or not np.issubdtype(hard_labels.dtype, np.integer):
+            raise DataError("hard labels must hold one integer cluster id per instance")
+        if ((hard_labels < 0) | (hard_labels >= clusters)).any():
+            raise DataError(f"hard labels must lie in [0, {clusters})")
+    if confident_mask is not None:
+        confident_mask = np.asarray(confident_mask)
+        if confident_mask.shape != (n,) or confident_mask.dtype != bool:
+            raise DataError("confident_mask must hold one boolean per instance")
+    return targets
 
 
 def _global_per_sample(z, lse, hard) -> np.ndarray:
@@ -264,6 +294,7 @@ def global_loss_value(
     """Global objective with frozen pseudo-labels and filter mask (the
     function the analytic gradient differentiates)."""
     X, z = _frozen_logits(X, centroids, metric)
+    _check_frozen(*z.shape, hard_labels=hard_labels, confident_mask=confident_mask)
     per_sample = _global_per_sample(z, logsumexp(z, axis=1), hard_labels)
     return float(per_sample[confident_mask].sum() / X.shape[0])
 
@@ -361,11 +392,14 @@ def local_loss(
     targets: np.ndarray | None = None,
 ) -> LocalLossResult:
     """Mean KL(target(neighbor) || soft(x)). ``targets`` may be passed in
-    precomputed; either way no gradient flows through them."""
+    precomputed, as a non-negative batch x clusters array; either way no
+    gradient flows through them."""
     X, Xn = _check_batches(X, Xn)
+    n = X.shape[0]
     if targets is None:
         targets = local_targets(Xn, state, params, metric)
-    n = X.shape[0]
+    else:
+        targets = _check_frozen(n, state.num_clusters, targets)
     z = similarities(X, state, metric)
     per_sample = _local_per_sample(z, logsumexp(z, axis=1), targets)
     W = (softmax(z, axis=1) - targets) / n
@@ -382,6 +416,7 @@ def local_loss_value(
 ) -> float:
     """Local objective with frozen targets (for finite differences)."""
     X, z = _frozen_logits(X, centroids, metric)
+    targets = _check_frozen(*z.shape, targets)
     per_sample = _local_per_sample(z, logsumexp(z, axis=1), targets)
     return float(per_sample.sum() / X.shape[0])
 
@@ -409,8 +444,10 @@ def _softmax_rows(z, peak, out):
 
 
 class _BatchLoss:
-    """The total loss of minibatches of one size, over four reused B x C
-    buffers. ``total_loss`` and every ``fit_centroids`` step run it.
+    """The total loss of minibatches of one size, over three reused B x C
+    buffers. ``total_loss`` and every ``fit_centroids`` step run it, and
+    between steps ``fit_centroids``' occupancy pass writes its logit blocks
+    into the idle ``z``.
 
     It performs the operations of ``local_targets``, ``global_loss`` and
     ``local_loss``, so its terms are bit-equal to theirs, with three exact
@@ -432,17 +469,16 @@ class _BatchLoss:
 
     def __init__(self, rows: int, clusters: int):
         self.rows = np.arange(rows)
-        self.z = np.empty((rows, clusters))  # instance logits
-        self.soft = np.empty((rows, clusters))  # their softmax
+        self.z = np.empty((rows, clusters))  # neighbor, then instance logits, then scratch
+        self.soft = np.empty((rows, clusters))  # the instance softmax
         self.targets = np.empty((rows, clusters))  # local targets of the neighbors
-        self.work = np.empty((rows, clusters))  # neighbor logits, then scratch
 
     def neighbor_targets(self, Xn, centroids, running_mean, params, metric):
         """``local_targets`` of the neighbor rows; their raw logits stay in
-        ``work`` for ``neighbor_mean``."""
+        ``z`` for ``neighbor_mean``."""
         if (running_mean <= 0).any():
             raise DataError("running_mean entries must be strictly positive")
-        z_n = _logits(Xn, centroids, metric, self.work)
+        z_n = _logits(Xn, centroids, metric, self.z)
         t = self.targets
         np.subtract(z_n, params.adjust_alpha * np.log(running_mean), out=t)
         t /= params.temperature
@@ -450,15 +486,15 @@ class _BatchLoss:
         return t
 
     def neighbor_mean(self) -> np.ndarray:
-        """Batch mean of the softmax of the neighbor logits in ``work``."""
-        work = self.work
-        _softmax_rows(work, work.max(axis=1, keepdims=True), work)
-        return work.mean(axis=0)
+        """Batch mean of the softmax of the neighbor logits in ``z``."""
+        z = self.z
+        _softmax_rows(z, z.max(axis=1, keepdims=True), z)
+        return z.mean(axis=0)
 
     def loss(self, X, centroids, targets, params, metric) -> TotalLossResult:
         """The global term plus loss_weight times the local term."""
         n = X.shape[0]
-        rows, z, soft, work = self.rows, self.z, self.soft, self.work
+        rows, z, soft = self.rows, self.z, self.soft
         _logits(X, centroids, metric, z)
         hard = z.argmax(axis=1)
         peak = z[rows, hard]
@@ -468,22 +504,25 @@ class _BatchLoss:
         global_per_sample = lse - peak
         mask = 1.0 / sums >= params.tau
         global_loss = float(global_per_sample[mask].sum() / n)
-        np.copyto(work, soft)
-        work[rows, hard] -= 1.0
-        work *= mask[:, None] / n
-        global_grad = _chain_to_centroids(work, X, centroids, metric)
 
-        np.maximum(targets, _TINIEST, out=work)
-        np.log(work, out=work)
-        work *= targets
-        local_per_sample = work.sum(axis=1)
-        np.subtract(z, lse[:, None], out=work)
-        work *= targets
-        local_per_sample -= work.sum(axis=1)
+        # the local cross term takes the logits; z is scratch from here on
+        z -= lse[:, None]
+        z *= targets
+        cross = z.sum(axis=1)
+        np.maximum(targets, _TINIEST, out=z)
+        np.log(z, out=z)
+        z *= targets
+        local_per_sample = z.sum(axis=1)
+        local_per_sample -= cross
         local_loss = float(local_per_sample.sum() / n)
-        np.subtract(soft, targets, out=work)
-        work /= n
-        local_grad = _chain_to_centroids(work, X, centroids, metric)
+
+        np.copyto(z, soft)
+        z[rows, hard] -= 1.0
+        z *= mask[:, None] / n
+        global_grad = _chain_to_centroids(z, X, centroids, metric)
+        np.subtract(soft, targets, out=z)
+        z /= n
+        local_grad = _chain_to_centroids(z, X, centroids, metric)
         return TotalLossResult(
             loss=global_loss + params.loss_weight * local_loss,
             grad=global_grad + params.loss_weight * local_grad,
@@ -523,11 +562,7 @@ def total_loss(
             Xn, state.centroids, state.running_mean, params, metric
         )
     else:
-        targets = np.asarray(local_targets_override, dtype=np.float64)
-        if targets.shape != (X.shape[0], state.num_clusters):
-            raise DataError("local targets must have shape (batch size, clusters)")
-        if (targets < 0).any():
-            raise DataError("local targets must be non-negative")
+        targets = _check_frozen(X.shape[0], state.num_clusters, local_targets_override)
     return batch.loss(X, state.centroids, targets, params, metric)
 
 
@@ -573,11 +608,12 @@ class UsltFitResult:
     reseeds: int = 0  # empty clusters re-seeded, summed over the fit
 
 
-def _hard_counts(X, centroids, metric):
-    """Members of each cluster under the hard (argmax) assignment."""
+def _hard_counts(X, centroids, metric, buffer=None):
+    """Members of each cluster under the hard (argmax) assignment; the
+    logit blocks reuse ``buffer`` as ``_logit_blocks`` does."""
     clusters = centroids.shape[0]
     counts = np.zeros(clusters, dtype=np.int64)
-    for _, z in _logit_blocks(X, centroids, metric):
+    for _, z in _logit_blocks(X, centroids, metric, buffer):
         counts += np.bincount(np.argmax(z, axis=1), minlength=clusters)
         del z  # before the next block is built
     return counts
@@ -616,7 +652,7 @@ def fit_centroids(
 
     Each step is the loop of ``total_loss``, ``ema_update`` and a fresh
     ``UsltState`` bit for bit, on plain arrays updated in place and one set
-    of reused B x C buffers.
+    of three reused B x C buffers, which the occupancy pass reuses too.
     """
     _check_metric(metric)
     params = params or UsltParams()
@@ -662,6 +698,7 @@ def fit_centroids(
             velocity *= optimizer.momentum
             grad *= optimizer.learning_rate
             velocity -= grad
+            del terms, grad  # before the next step builds its own
             centroids += velocity
             if optimizer.normalize_centroids:
                 # np.linalg.norm(centroids, axis=1) by its own operations
@@ -672,7 +709,8 @@ def fit_centroids(
             at_epoch = step % steps_per_epoch == 0 or step == optimizer.steps
             at_reseed = step % optimizer.reseed_interval == 0
             if at_epoch or at_reseed:
-                counts = _hard_counts(X, centroids, metric)
+                # the step's logits buffer is idle until the next step
+                counts = _hard_counts(X, centroids, metric, step_loss.z)
                 if at_epoch:
                     occupancy.append((step, counts))
                 empty = np.flatnonzero(counts == 0)

@@ -30,7 +30,7 @@ from labelsel import (
 )
 from labelsel import build_knn_graph, checks, density, uslt
 from labelsel.usl import _per_cluster_argmax
-from labelsel.uslt import local_targets, softmax
+from labelsel.uslt import global_loss_value, local_loss_value, local_targets, softmax
 
 from helpers import (
     nearest_centroid_oracle,
@@ -391,6 +391,32 @@ class TestLocalLoss:
             )
 
 
+MALFORMED_TARGETS = [
+    ("one-row", np.full(4, 0.25), "shape"),
+    ("too-few-columns", np.full((5, 3), 1 / 3), "shape"),
+    ("too-few-rows", np.full((4, 4), 0.25), "shape"),
+    ("negative-entry", np.array([[0.75, 0.5, -0.25, 0.0]] + [[0.25] * 4] * 4), "non-negative"),
+]
+MALFORMED_LABELS = [
+    ("label-at-clusters", [0, 1, 2, 3, 4], [True] * 5, r"\[0, 4\)"),
+    ("negative-label", [0, -1, 2, 3, 0], [True] * 5, r"\[0, 4\)"),
+    ("too-few-labels", [0, 1, 2, 3], [True] * 5, "one integer cluster id"),
+    ("float-labels", [0.0, 1.0, 2.0, 3.0, 0.0], [True] * 5, "one integer cluster id"),
+    ("too-few-mask-entries", [0, 1, 2, 3, 0], [True] * 4, "one boolean"),
+    ("integer-mask", [0, 1, 2, 3, 0], [1, 1, 0, 0, 1], "one boolean"),
+]
+# frozen inputs of a batch of 5 rows against 4 centroids; total_loss's
+# override keeps the bare case ids
+MALFORMED_FROZEN_INPUTS = [
+    pytest.param(entry, targets, match, id=name if entry == "total_loss" else f"{entry}-{name}")
+    for entry in ("total_loss", "local_loss", "local_loss_value")
+    for name, targets, match in MALFORMED_TARGETS
+] + [
+    pytest.param("global_loss_value", (labels, mask), match, id=f"global_loss_value-{name}")
+    for name, labels, mask, match in MALFORMED_LABELS
+]
+
+
 class TestTotalLoss:
     def test_lambda_zero_equals_global(self):
         rng = np.random.default_rng(12)
@@ -418,24 +444,23 @@ class TestTotalLoss:
         assert t.grad.tobytes() == (g.grad + params.loss_weight * l.grad).tobytes()
         assert t.local_result.targets.tobytes() == local_targets(Xn, state, params, metric).tobytes()
 
-    @pytest.mark.parametrize(
-        "targets, match",
-        [
-            (np.full(4, 0.25), "shape"),
-            (np.full((5, 3), 1 / 3), "shape"),
-            (np.full((4, 4), 0.25), "shape"),
-            (np.array([[0.75, 0.5, -0.25, 0.0]] + [[0.25] * 4] * 4), "non-negative"),
-        ],
-        ids=["one-row", "too-few-columns", "too-few-rows", "negative-entry"],
-    )
-    def test_rejects_malformed_target_override(self, targets, match):
+    @pytest.mark.parametrize("entry, frozen, match", MALFORMED_FROZEN_INPUTS)
+    def test_rejects_malformed_target_override(self, entry, frozen, match):
         rng = np.random.default_rng(14)
         X = rng.standard_normal((5, 3))
+        state = state_of(rng.standard_normal((4, 3)))
+        calls = {
+            "total_loss": lambda t: total_loss(
+                X, X, state, UsltParams(), "dot", local_targets_override=t
+            ),
+            "local_loss": lambda t: local_loss(X, X, state, UsltParams(), "dot", targets=t),
+            "local_loss_value": lambda t: local_loss_value(X, state.centroids, t, "dot"),
+            "global_loss_value": lambda f: global_loss_value(
+                X, state.centroids, np.asarray(f[0]), np.asarray(f[1]), "dot"
+            ),
+        }
         with pytest.raises(DataError, match=match):
-            total_loss(
-                X, X, state_of(rng.standard_normal((4, 3))), UsltParams(), "dot",
-                local_targets_override=targets,
-            )
+            calls[entry](frozen)
 
     def test_confident_self_neighbor_zero(self):
         c = np.array([[1000.0], [-1000.0]])
@@ -629,6 +654,21 @@ class TestFitAndSelect:
         m = l2_normalize(EmbeddingMatrix(data=np.random.default_rng(6).standard_normal((n, 8))))
         params, optimizer = UsltParams(neighbor_k=k), OptimizerConfig(steps=2)
         assert traced_peak(fit_centroids, m, 4, params, optimizer, threads=1) < n * k * 16
+
+    @pytest.mark.parametrize("metric", ["dot", "neg_sq_euclidean"])
+    def test_fit_holds_three_batch_by_cluster_buffers(self, metric):
+        # the step loop outweighs the walk here: its three B x C buffers are
+        # 12.3 MB, a fourth would be 4.1 MB more, and the occupancy pass's
+        # 129- and 130-row logit blocks fit in the idle one. The margin of
+        # 12 C x d arrays (3 MiB) covers the centroids, velocity, start
+        # state and gradients; about seven are live at the peak.
+        n, d, C, B = 4_000, 16, 2_000, 256
+        m = l2_normalize(EmbeddingMatrix(data=np.random.default_rng(3).standard_normal((n, d))))
+        params = UsltParams(neighbor_k=5)
+        # step 2 ends the run, so it takes an occupancy pass
+        optimizer = OptimizerConfig(steps=2, batch_size=B)
+        peak = traced_peak(fit_centroids, m, C, params, optimizer, metric, threads=1)
+        assert peak < 3 * B * C * 8 + 12 * C * d * 8
 
 
 def small_mixture(modes, per_mode, dim, seed):
