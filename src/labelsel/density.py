@@ -39,12 +39,13 @@ allocated once per walk in the calling thread (a block allocated per query
 block inside a worker stays resident in that thread's malloc arena after
 the walk, under k-means' copies);
 ``argpartition`` works row by row, so it runs over row slices of the block
-whose int64 output stays within _ROW_BLOCK_BYTES (two rows at least). The
-candidates' distances and their ranking take a few QUERY_BLOCK x kp
-arrays. QUERY_BLOCK is a row count, not a byte budget: fewer rows cost
-CPU, because BLAS packs the whole n-row GEMM operand on every call. 128
-rows keeps the kNN stage within noise of 512-row blocks at n=10,000 and
-within about 15% at n=5,000, at a quarter of the memory.
+whose int64 output stays within _PARTITION_BYTES, the exact tile's 512 KiB
+(two rows at least). The candidates' distances and their ranking take a
+few QUERY_BLOCK x kp arrays. QUERY_BLOCK is a row count, not a byte
+budget: fewer rows cost CPU, because BLAS packs the whole n-row GEMM
+operand on every call. 128 rows keeps the kNN stage within noise of
+512-row blocks at n=10,000 and within about 15% at n=5,000, at a quarter
+of the memory.
 
 The walk reads the rows as stored (``EmbeddingMatrix.rows``), float32 (a
 loaded ``.fvecs`` file) or float64, through ``io._Rows``, which divides
@@ -89,12 +90,16 @@ JITTER_SCALE = 1e-12
 # byte budget of one row block of an n x m distance, difference or logit
 # matrix in k-means, regularization and USL-T (see _row_blocks)
 _ROW_BLOCK_BYTES = 2 << 20
+# byte budget of one row slice of a query block's int64 argpartition output:
+# the exact tile's, so a worker's preselect scratch beside its Gram block
+# stays near 512 KiB (13 rows at n = 5,000 against 43 at 2 MiB)
+_PARTITION_BYTES = EXACT_TILE_BYTES
 
 
-def _row_blocks(n: int, row_bytes: int) -> list[slice]:
+def _row_blocks(n: int, row_bytes: int, budget: int | None = None) -> list[slice]:
     """Slices that cover range(n) in near-equal row blocks of at most
-    _ROW_BLOCK_BYTES at ``row_bytes`` per row, and of at least two rows
-    whenever n >= 2.
+    ``budget`` bytes (default _ROW_BLOCK_BYTES) at ``row_bytes`` per row,
+    and of at least two rows whenever n >= 2.
 
     No stage that walks an n x m matrix through these blocks holds more
     than one block of it. Near-equal sizes avoid a ragged last block of one
@@ -102,7 +107,7 @@ def _row_blocks(n: int, row_bytes: int) -> list[slice]:
     budget: BLAS routes a one-row GEMM to GEMV, which sums in another order
     than the other blocks, so results would depend on the block size.
     """
-    per_block = max(2, _ROW_BLOCK_BYTES // row_bytes)
+    per_block = max(2, (_ROW_BLOCK_BYTES if budget is None else budget) // row_bytes)
     blocks = min(-(-n // per_block), max(1, n // 2))
     return [slice(i * n // blocks, (i + 1) * n // blocks) for i in range(blocks)]
 
@@ -277,7 +282,8 @@ def _exact_block(X, i0, i1, cand, scale=1.0, scratch=None):
     2^-446 of it.
 
     ``scratch``, a float64 array of no further use to the caller, may hold
-    the buffers of a normalized matrix's divided rows (see
+    the buffers of a normalized matrix's divided rows and the returned
+    distances, valid until ``scratch`` is next written (see
     ``_divided_squares``).
     """
     rows = _rows_of(X)
@@ -339,10 +345,12 @@ def _divided_squares(rows, i0, i1, cand, scale, scratch=None):
     candidates are divided once each, in ascending chunks of
     EXACT_TILE_BYTES, and each chunk's pairs gather their candidate and
     query rows from it; the chunk and the pairs' two buffers are taken
-    from ``scratch`` when it has room. The walk passes its worker's Gram
-    block, dead once the candidates are partitioned, as ``scratch``. Each
-    pair's differences are summed as one row, which numpy sums as it does
-    the rows of a tile, so either way gives the eager bytes.
+    from ``scratch`` when it has room, and so are the pairs' index arrays,
+    their squares and the result when they fit beside them. The walk passes
+    its worker's Gram block, dead once the candidates are partitioned, as
+    ``scratch``. Each pair's differences are summed as one row, which numpy
+    sums as it does the rows of a tile, so either way gives the eager
+    bytes.
 
     Measured per 128-row block on one thread of a 2-core Xeon VM:
 
@@ -364,7 +372,13 @@ def _divided_squares(rows, i0, i1, cand, scale, scratch=None):
       between numpy calls: a third of that size made three times the calls
       and 25% more CPU for the walk; allocated per block, they made a
       second worker add more to ``select_usl``'s peak than its Gram block
-      plus 2 MiB."""
+      plus 2 MiB.
+    * Holding the pairs' arrays in the Gram block as well: one
+      ``knn_utility_scores`` of 10,000 x 128 float32 rows at k = 400 on
+      two workers made 3,040-3,550 minor page faults as a fresh process's
+      first call, against 3,435-3,950 with them allocated per block, and
+      5-8 against 45-66 on the next call; its peak RSS fell from 65.1 to
+      63.8 MB."""
     n, d = rows.shape
     b, c = cand.shape
     query = rows.values(slice(i0, i1))
@@ -375,26 +389,46 @@ def _divided_squares(rows, i0, i1, cand, scale, scratch=None):
     mark = np.zeros(n, dtype=bool)
     mark[cand] = True
     ids = np.flatnonzero(mark)
-    place = np.cumsum(mark, dtype=np.int32 if n < 2**31 else np.int64)
-    pos = place[cand].ravel()
-    pos -= 1
-    del mark, place
+    index = np.int32 if n < 2**31 else np.int64
+    place = np.cumsum(mark, dtype=index)
+    del mark
+    pairs = b * c
     cap = max(1, EXACT_TILE_BYTES // (8 * d))  # rows of one buffer
-    per, step = min(ids.size, cap), min(b * c, cap)  # chunk rows, pairs at once
+    per, step = min(ids.size, cap), min(pairs, cap)  # chunk rows, pairs at once
     size = (per + 2 * step) * d
     room = scratch is not None and scratch.size >= size
     buffers = scratch[:size] if room else np.empty(size)
+    # the pairs' arrays, four slots of eight bytes an entry (one array
+    # replaces another once it is dead), go beside the buffers when they fit
+    # there too, so a block allocates only argsort's output
+    slots = None
+    if room and scratch.size >= size + 4 * pairs:
+        slots = scratch[size : size + 4 * pairs].reshape(4, pairs)
+
+    def pair_array(i, dtype):
+        return np.empty(pairs, dtype) if slots is None else slots[i].view(dtype)[:pairs]
+
+    pos = pair_array(0, index)
+    # cand is in range, so "clip" only skips the bounds check's buffered copy
+    np.take(place, cand.reshape(-1), out=pos, mode="clip")
+    pos -= 1
+    del place
     groups = -(-ids.size // per)
-    group = pos // per
+    group = pair_array(1, np.min_scalar_type(groups - 1))
+    np.floor_divide(pos, per, out=group, casting="unsafe")
     # the pairs by chunk, in row order within each (a radix sort below 2^16)
-    order = np.argsort(group.astype(np.min_scalar_type(groups - 1)), kind="stable")
+    order = np.argsort(group, kind="stable")
     ends = np.cumsum(np.bincount(group, minlength=groups)).tolist()
-    local = pos[order] % per  # each pair's row in its chunk
-    del group, pos
-    query_of = order // c
+    del group
+    local = pair_array(1, index)  # each pair's row in its chunk
+    np.take(pos, order, out=local, mode="clip")
+    local %= per
+    del pos
+    query_of = pair_array(0, order.dtype)
+    np.floor_divide(order, c, out=query_of)
     values = buffers[: per * d].reshape(per, d)
     diffs, queries = buffers[per * d :].reshape(2, step, d)
-    squares = np.empty(b * c)
+    squares = pair_array(2, np.float64)
     start = 0
     for g, end in enumerate(ends):
         chunk = ids[g * per : (g + 1) * per]
@@ -410,9 +444,9 @@ def _divided_squares(rows, i0, i1, cand, scale, scratch=None):
             np.square(diff, out=diff)
             np.sum(diff, axis=1, out=squares[s:e])
         start = end
-    out = np.empty((b, c))
-    out.reshape(-1)[order] = squares
-    return out
+    out = pair_array(3, np.float64)
+    out[order] = squares
+    return out.reshape(b, c)
 
 
 def _rank_candidates(dist, cand, k):
@@ -524,8 +558,9 @@ def _block_preselect(X, ops, i0, i1, k, block):
     cand = np.empty((b, kp), dtype=np.int64)
     excluded = np.empty(b)
     # argpartition works row by row, so slices of rows give the full
-    # block's candidates and excluded values with a 2 MiB int64 output
-    for s in _row_blocks(b, 8 * n):
+    # block's candidates and excluded values with an int64 output of at
+    # most _PARTITION_BYTES
+    for s in _row_blocks(b, 8 * n, _PARTITION_BYTES):
         cand[s], excluded[s] = _partition_rows(gram[s], kp)
     del gram  # its bytes are the recompute's scratch from here on
     nbr, nbd = _rank_candidates(_exact_block(X, i0, i1, cand, ops.scale, scratch), cand, k)

@@ -494,7 +494,7 @@ class TestArgpartitionSlices:
         X, k = self.inputs(name)
         m = EmbeddingMatrix(data=X)
         # the default budget holds a whole block of these rows in one slice
-        assert density._ROW_BLOCK_BYTES >= density.QUERY_BLOCK * 8 * m.n
+        assert density._PARTITION_BYTES >= density.QUERY_BLOCK * 8 * m.n
         want, want_u = build_knn_graph(m, k, threads=2), knn_utility_scores(m, k, threads=2)
         if name == "grid":
             assert want.fallback_rows > 0
@@ -505,7 +505,7 @@ class TestArgpartitionSlices:
             sizes.append(a.shape[0])
             return partition(a, kth, axis=axis)
 
-        monkeypatch.setattr(density, "_ROW_BLOCK_BYTES", rows * 8 * m.n)
+        monkeypatch.setattr(density, "_PARTITION_BYTES", rows * 8 * m.n)
         monkeypatch.setattr(np, "argpartition", spy)
         g, u = build_knn_graph(m, k, threads=2), knn_utility_scores(m, k, threads=2)
         # near-equal slices: an odd block's two-row budget gives one of three
@@ -674,16 +674,17 @@ class TestScratchMemory:
         limit = self.operand_bytes(n, d) + 2 * density._ROW_BLOCK_BYTES
         assert traced_peak(density._GramOperands.of, X) < limit
 
-    def test_walk_scratch_per_worker(self):
-        # two float32 copies of the rows and a 128 x n int64 argpartition
-        # output per worker would peak at about 42 MB
-        m, k, threads = self.unit_rows(), 400, 2
-        n, d = m.data.shape
+    @pytest.mark.parametrize("n, d, k", [(10_000, 128, 400), (5_000, 64, 20)])
+    def test_walk_scratch_per_worker(self, n, d, k):
+        # usl-10k's shape: two float32 copies of the rows and a 128 x n int64
+        # argpartition output per worker would peak at about 42 MB;
+        # budget-1k's: 43-row argpartition slices (1.7 MB) peak at 10.2 MB
+        m, threads = self.unit_rows(n, d), 2
         block = density.QUERY_BLOCK
         # README: a float32 Gram block, one argpartition slice, one exact
         # tile and the block's candidate arrays (six at most)
         worker = (
-            4 * block * n + density._ROW_BLOCK_BYTES + density.EXACT_TILE_BYTES
+            4 * block * n + density._PARTITION_BYTES + density.EXACT_TILE_BYTES
             + 6 * 8 * block * (k + density.CANDIDATE_PAD)
         )
         build = 8 * n * d + density._ROW_BLOCK_BYTES
