@@ -674,11 +674,16 @@ class TestScratchMemory:
         limit = self.operand_bytes(n, d) + 2 * density._ROW_BLOCK_BYTES
         assert traced_peak(density._GramOperands.of, X) < limit
 
-    @pytest.mark.parametrize("n, d, k", [(10_000, 128, 400), (5_000, 64, 20)])
-    def test_walk_scratch_per_worker(self, n, d, k):
+    def test_walk_scratch_per_worker(self):
         # usl-10k's shape: two float32 copies of the rows and a 128 x n int64
-        # argpartition output per worker would peak at about 42 MB;
-        # budget-1k's: 43-row argpartition slices (1.7 MB) peak at 10.2 MB
+        # argpartition output per worker would peak at about 42 MB
+        self.check_walk_scratch(10_000, 128, 400)
+
+    def test_walk_scratch_per_worker_small_k(self):
+        # budget-1k's shape: 43-row argpartition slices (1.7 MB) peak at 10.2 MB
+        self.check_walk_scratch(5_000, 64, 20)
+
+    def check_walk_scratch(self, n, d, k):
         m, threads = self.unit_rows(n, d), 2
         block = density.QUERY_BLOCK
         # README: a float32 Gram block, one argpartition slice, one exact
